@@ -441,9 +441,13 @@ def _run_compiled_profiled(
     if observer is not None:
         observer.on_run_start(base, max_steps)
     while step < max_steps:
-        if stop_when is not None and stop_when(state, step):
-            reason = "stopped"
-            break
+        if stop_when is not None:
+            t0 = clock()
+            stop = stop_when(state, step)
+            prof.add("stop-when", clock() - t0)
+            if stop:
+                reason = "stopped"
+                break
         if observer is not None:
             t0 = clock()
             observer.on_step_scheduled(step)

@@ -37,7 +37,17 @@ the component's state piece alone — so the composition memoizes them:
 * **per-step snapshots**: :meth:`Composition.enabled_by_task` assembles
   the full task→enabled-actions map from the cached groups, so scheduler
   policies and the tagged-tree builder ask once per step instead of once
-  per task.
+  per task;
+* **incremental snapshots**: the composition keeps the last snapshot it
+  built with its per-component group list.  Asked again for the identical
+  state object it returns that snapshot; asked for the state
+  :meth:`Composition.apply` produced from it, it re-probes only the fired
+  action's participants and re-merges the group list in component order
+  (or carries the snapshot over when no participant's group changed, key
+  order included).  Identity reuse is sound because states are immutable
+  and a step replaces the pieces of exactly its participants: every other
+  piece is the same object, so its group cannot have changed.  Any other
+  state gets the full merge.
 
 Correctness rests on the module contract that states are immutable and
 ``enabled_locally`` is a pure function of the state
@@ -50,8 +60,9 @@ predicate scan, which CI uses as the semantics oracle.
 
 Every memo probe tallies into the process-global cache telemetry
 (``composition.dispatch`` / ``composition.task`` / ``composition.enabled``
-in :mod:`repro.obs.prof`): deterministic hit/miss/evict counts the
-profiler and the benchmark ``--profile`` flag report as hit rates.
+/ ``composition.snapshot`` in :mod:`repro.obs.prof`): deterministic
+hit/miss/evict counts the profiler and the benchmark ``--profile`` flag
+report as hit rates.
 """
 
 from __future__ import annotations
@@ -173,6 +184,15 @@ class Composition(Automaton):
         self._enabled_memo: Dict[
             Tuple[int, State], Dict[str, Tuple[Action, ...]]
         ] = {}
+        #: The last snapshot enabled_by_task built: its state, the merged
+        #: map and the per-component group list it merged.
+        self._snap_state: Optional[State] = None
+        self._snap: Dict[str, Tuple[Action, ...]] = {}
+        self._snap_groups: List[Dict[str, Tuple[Action, ...]]] = []
+        #: The state apply() last produced from the snapshotted state, and
+        #: the participants whose pieces that step replaced.
+        self._child_state: Optional[State] = None
+        self._child_participants: Tuple[int, ...] = ()
         # Cache telemetry: process-global hit/miss/evict tallies shared by
         # every composition (repro.obs.prof).  Plain integer adds on the
         # memo probes; deterministic for a fixed run, and the substrate of
@@ -181,6 +201,7 @@ class Composition(Automaton):
         self._c_dispatch = cache_counter("composition.dispatch")
         self._c_task = cache_counter("composition.task")
         self._c_enabled = cache_counter("composition.enabled")
+        self._c_snapshot = cache_counter("composition.snapshot")
         # Optional observability: attach_metrics() makes every step count
         # itself; detached (the default) the hot path pays one None test.
         # ``instrument=`` is the unified convention (repro.obs.instrument);
@@ -278,24 +299,23 @@ class Composition(Automaton):
             self._c_dispatch.hits += 1
             return entry
         self._c_dispatch.misses += 1
-        owners = [
-            k
-            for k, c in enumerate(self.components)
-            if c.signature.is_locally_controlled(action)
-        ]
+        # One classifying pass: an output or internal action makes the
+        # component an owner and a participant, an input a participant.
+        owners: List[int] = []
+        participants: List[int] = []
+        for k, c in enumerate(self.components):
+            signature = c.signature
+            if action in signature.outputs or action in signature.internals:
+                owners.append(k)
+                participants.append(k)
+            elif action in signature.inputs:
+                participants.append(k)
         if len(owners) > 1:
             raise CompositionError(
                 f"action {action} is locally controlled by several "
                 f"components: {[self.components[k].name for k in owners]}"
             )
-        entry = (
-            owners[0] if owners else None,
-            tuple(
-                k
-                for k, c in enumerate(self.components)
-                if action in c.signature
-            ),
-        )
+        entry = (owners[0] if owners else None, tuple(participants))
         if self._use_cache:
             self._dispatch_memo[action] = entry
         return entry
@@ -313,25 +333,20 @@ class Composition(Automaton):
     def apply(self, state: State, action: Action) -> State:
         # _dispatch raises on ambiguity (the lazy compatibility check).
         _owner, participants = self._dispatch(action)
+        pieces = list(state)
+        for k in participants:
+            pieces[k] = self.components[k].apply(state[k], action)
+        next_state = tuple(pieces)
+        if state is self._snap_state:
+            # Lets the next enabled_by_task(next_state) patch the snapshot.
+            self._child_state = next_state
+            self._child_participants = participants
         if self._metrics is not None:
-            return self._apply_metered(state, action, participants)
-        next_state = list(state)
-        for k in participants:
-            next_state[k] = self.components[k].apply(state[k], action)
-        return tuple(next_state)
-
-    def _apply_metered(
-        self, state: State, action: Action, participants: Tuple[int, ...]
-    ) -> State:
-        """apply() with per-step metrics; only runs when attached."""
-        next_state = list(state)
-        for k in participants:
-            next_state[k] = self.components[k].apply(state[k], action)
-        self._metrics.counter("composition.steps").inc()
-        self._metrics.histogram("composition.participants").observe(
-            len(participants)
-        )
-        return tuple(next_state)
+            self._metrics.counter("composition.steps").inc()
+            self._metrics.histogram("composition.participants").observe(
+                len(participants)
+            )
+        return next_state
 
     def enabled(self, state: State, action: Action) -> bool:
         if self.signature.is_input(action):
@@ -406,10 +421,47 @@ class Composition(Automaton):
     def enabled_by_task(self, state: State) -> Dict[str, Tuple[Action, ...]]:
         """One snapshot of every enabled task — the per-step query the
         scheduler policies and the tagged-tree builder consume (see the
-        module docstring)."""
+        module docstring).
+
+        The returned dict is shared with later calls (the same state
+        object returns the same dict) and must be treated as read-only.
+        """
+        if state is self._snap_state:
+            self._c_snapshot.hits += 1
+            return self._snap
+        if state is self._child_state:
+            self._c_snapshot.hits += 1
+            groups = self._snap_groups
+            patched = False
+            for index in self._child_participants:
+                group = self._component_enabled(index, state[index])
+                old = groups[index]
+                if group is old or (group == old and list(group) == list(old)):
+                    continue
+                if not patched:
+                    groups = list(groups)
+                    patched = True
+                groups[index] = group
+            if not patched:
+                # No participant's group changed (key order included), so
+                # neither did the merge: the snapshot carries over.
+                self._snap_state = state
+                self._child_state = None
+                return self._snap
+        else:
+            self._c_snapshot.misses += 1
+            groups = [
+                self._component_enabled(index, piece)
+                for index, piece in enumerate(state)
+            ]
         snapshot: Dict[str, Tuple[Action, ...]] = {}
-        for index, piece in enumerate(state):
-            snapshot.update(self._component_enabled(index, piece))
+        for group in groups:
+            snapshot.update(group)
+        if self._use_cache:
+            self._snap_state = state
+            self._snap = snapshot
+            self._snap_groups = groups
+            self._child_state = None
         return snapshot
 
     # ------------------------------------------------------------------

@@ -401,10 +401,12 @@ class Scheduler:
         branch and its error messages), same stop/quiescence semantics —
         so the produced :class:`~repro.ioa.executions.Execution` is
         byte-identical to an unprofiled run.  The only additions are the
-        phase books: each step is split into ``snapshot`` (warming the
-        grouped enabled-set the policy consumes), ``policy``, ``apply``
-        (or ``chan-tick`` when the applied action is the channels' delay
-        ager), ``observe`` and ``injection``, timed with the profiler's
+        phase books: each step is split into ``stop-when`` (the
+        ``stop_when`` predicate, when one is given), ``snapshot`` (warming
+        the grouped enabled-set the policy consumes), ``policy``,
+        ``apply`` (or ``chan-tick`` when the applied action is the
+        channels' delay ager), ``observe`` and ``injection``, timed with
+        the profiler's
         injectable clock.  Wall times land only in the profile summary,
         never in the execution.
         """
@@ -429,9 +431,13 @@ class Scheduler:
         if observer is not None:
             observer.on_run_start(automaton, max_steps)
         while step < max_steps:
-            if stop_when is not None and stop_when(state, step):
-                reason = "stopped"
-                break
+            if stop_when is not None:
+                t0 = clock()
+                stop = stop_when(state, step)
+                prof.add("stop-when", clock() - t0)
+                if stop:
+                    reason = "stopped"
+                    break
             if observer is not None:
                 t0 = clock()
                 observer.on_step_scheduled(step)

@@ -16,6 +16,8 @@ against.  Two halves:
     internal channel clock:
 
     ===============  =====================================================
+    ``stop-when``    the run's ``stop_when`` predicate, evaluated before
+                     every step when one is given
     ``snapshot``     the per-step enabled-by-task snapshot (Section 2.2
                      enabledness over the composed signature)
     ``policy``       the scheduler policy's choice among enabled tasks
@@ -40,7 +42,8 @@ Cache telemetry (:func:`cache_counter`)
     Process-global named hit/miss/evict counters the hot-path memos
     increment directly (plain integer adds — no registry lookups, no
     branches).  The composition increments ``composition.dispatch`` /
-    ``composition.enabled`` / ``composition.task``; the tagged tree
+    ``composition.enabled`` / ``composition.snapshot`` /
+    ``composition.task``; the tagged tree
     increments ``tree.task-edges`` / ``tree.vertices``.  Counts are pure
     functions of the executed steps, so they are themselves deterministic
     observables.  :func:`cache_stats_snapshot` /
@@ -72,6 +75,7 @@ PROFILE_SCHEMA = "repro.profile/1"
 #: configuration's first sighting); a table hit books under ``apply`` /
 #: ``chan-tick`` like the interpreted loop.
 PHASES = (
+    "stop-when",
     "snapshot",
     "policy",
     "apply",

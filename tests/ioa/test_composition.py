@@ -1,5 +1,7 @@
 """Tests for repro.ioa.composition: synchronization, projection, tasks."""
 
+import re
+
 import pytest
 
 from repro.ioa.actions import Action
@@ -12,7 +14,11 @@ from repro.ioa.composition import (
     set_enabled_cache_default,
 )
 from repro.ioa.executions import apply_schedule
-from repro.ioa.signature import FiniteActionSet, Signature
+from repro.ioa.signature import (
+    FiniteActionSet,
+    PredicateActionSet,
+    Signature,
+)
 
 PING = Action("ping", 0)
 PONG = Action("pong", 1)
@@ -177,6 +183,47 @@ class TestEnabledCacheLayer:
         c.enabled_by_task((1, 1))
         assert len(c._enabled_memo) == 4
 
+    def test_repeated_state_returns_the_same_snapshot(self):
+        c = compose(pinger(), ponger())
+        s0 = c.initial_state()
+        first = c.enabled_by_task(s0)
+        assert c.enabled_by_task(s0) is first
+        # An equal state that is a different object gets a fresh merge.
+        assert c.enabled_by_task(tuple(list(s0))) is not first
+
+    def test_patched_snapshot_keeps_full_merge_key_order(self):
+        """A participant whose group keeps its items but reorders its
+        tasks must not carry the previous snapshot over."""
+        a, b, flip = Action("a", 0), Action("b", 0), Action("flip", 1)
+        flipper = FunctionalAutomaton(
+            name="flipper",
+            signature=Signature(
+                inputs=FiniteActionSet([flip]),
+                outputs=FiniteActionSet([a, b]),
+            ),
+            initial=0,
+            transition=lambda s, act: 1 - s if act == flip else s,
+            enabled_fn=lambda s: [a, b] if s == 0 else [b, a],
+            task_names=("ta", "tb"),
+            task_assignment=lambda act: "ta" if act == a else "tb",
+        )
+        switch = FunctionalAutomaton(
+            name="switch",
+            signature=Signature(outputs=FiniteActionSet([flip])),
+            initial=0,
+            transition=lambda s, act: s,
+            enabled_fn=lambda s: [flip],
+        )
+        c = Composition([flipper, switch])
+        s0 = c.initial_state()
+        assert list(c.enabled_by_task(s0)) == [
+            "flipper:ta", "flipper:tb", "switch:main"
+        ]
+        s1 = c.apply(s0, flip)
+        assert list(c.enabled_by_task(s1)) == [
+            "flipper:tb", "flipper:ta", "switch:main"
+        ]
+
     def test_dispatch_memoizes_participants(self):
         c = compose(pinger(), ponger())
         c.apply((0, 0), PING)
@@ -266,6 +313,111 @@ class TestEnabledCacheLayer:
         assert builder.use_enabled_cache is None
         assert builder.without_enabled_cache() is builder
         assert builder.use_enabled_cache is False
+
+
+class TestDispatchClassification:
+    """The first-sighting dispatch scan classifies each component once:
+    outputs and internals make it the owner (and a participant), inputs
+    a participant."""
+
+    SAY = Action("say", 0)
+    TICK = Action("tick", 0)
+    POKE = Action("poke", 1)
+    WAVE = Action("wave", 2)
+
+    def mixed(self, use_cache=True):
+        speaker = FunctionalAutomaton(
+            name="speaker",
+            signature=Signature(
+                inputs=PredicateActionSet(lambda a: a.name == "poke", "pokes"),
+                outputs=PredicateActionSet(lambda a: a.name == "say", "says"),
+                internals=FiniteActionSet([self.TICK]),
+            ),
+            initial=0,
+            transition=lambda s, a: s + 1,
+            enabled_fn=lambda s: [self.SAY, self.TICK],
+        )
+        listener = FunctionalAutomaton(
+            name="listener",
+            signature=Signature(
+                inputs=PredicateActionSet(
+                    lambda a: a.name in ("say", "poke"), "says and pokes"
+                ),
+            ),
+            initial=0,
+            transition=lambda s, a: s + 1,
+            enabled_fn=lambda s: [],
+        )
+        bystander = FunctionalAutomaton(
+            name="bystander",
+            signature=Signature(outputs=FiniteActionSet([self.WAVE])),
+            initial=0,
+            transition=lambda s, a: s,
+            enabled_fn=lambda s: [self.WAVE],
+        )
+        return Composition(
+            [speaker, listener, bystander], use_enabled_cache=use_cache
+        )
+
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_owner_and_participants_by_kind(self, use_cache):
+        c = self.mixed(use_cache)
+        for _ in range(2):  # first sighting, then the memo (if any)
+            # Pure input: no owner, every component listening for it.
+            assert c.owner_of(self.POKE) is None
+            assert c.participants(self.POKE) == [0, 1]
+            # Output: owned by the speaker, synchronized with the listener.
+            assert c.owner_of(self.SAY).name == "speaker"
+            assert c.participants(self.SAY) == [0, 1]
+            # Internal: owned by the speaker alone.
+            assert c.owner_of(self.TICK).name == "speaker"
+            assert c.participants(self.TICK) == [0]
+            assert c.owner_of(self.WAVE).name == "bystander"
+            assert c.participants(self.WAVE) == [2]
+        assert bool(c._dispatch_memo) is use_cache
+
+    def test_apply_advances_exactly_the_participants(self):
+        c = self.mixed()
+        s0 = c.initial_state()
+        assert c.apply(s0, self.SAY) == (1, 1, 0)
+        assert c.apply(s0, self.TICK) == (1, 0, 0)
+        assert c.apply(s0, self.POKE) == (1, 1, 0)
+
+    def test_predicate_owned_by_two_components_raises_naming_both(self):
+        def claimer(name, kind):
+            claims = PredicateActionSet(
+                lambda a: a.name == "shared", "shared claimer"
+            )
+            return FunctionalAutomaton(
+                name=name,
+                signature=Signature(**{kind: claims}),
+                initial=0,
+                transition=lambda s, a: s,
+                enabled_fn=lambda s: [],
+            )
+
+        shared = Action("shared", 0)
+        # Predicate signatures escape the constructor's enumerable check.
+        c = Composition(
+            [claimer("left", "outputs"), claimer("right", "internals")]
+        )
+        message = re.escape(
+            f"action {shared} is locally controlled by several "
+            "components: ['left', 'right']"
+        )
+        uses = (
+            lambda: c.apply((0, 0), shared),
+            lambda: c.owner_of(shared),
+            lambda: c.participants(shared),
+            lambda: c.task_of(shared),
+            lambda: c.enabled((0, 0), shared),
+        )
+        for _ in range(2):
+            for use in uses:
+                with pytest.raises(CompositionError, match=message):
+                    use()
+        assert shared not in c._dispatch_memo
+        assert shared not in c._task_memo
 
 
 class TestProjection:

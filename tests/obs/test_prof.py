@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
 from repro.ioa.actions import Action
 from repro.ioa.automaton import FunctionalAutomaton
@@ -204,6 +206,33 @@ class TestSchedulerIntegration:
         assert prof.phase_calls["apply"] == 8
         assert set(prof.phase_calls) <= set(PHASES)
 
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_stop_when_booked_once_per_evaluation(self, compiled):
+        evaluations = []
+
+        def stop_when(state, step):
+            evaluations.append(step)
+            return step >= 5
+
+        prof = StepProfiler(clock=scripted_clock(0.5))
+        Scheduler(RoundRobinPolicy(), instrument=prof, compiled=compiled).run(
+            two_task_machine(), 8, stop_when=stop_when
+        )
+        assert evaluations == [0, 1, 2, 3, 4, 5]
+        assert prof.steps == 5
+        assert prof.phase_calls["stop-when"] == len(evaluations)
+        # Two scripted readings per evaluation, 0.5 s apart.
+        assert prof.phase_wall_s["stop-when"] == 0.5 * len(evaluations)
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_no_stop_when_books_no_phase(self, compiled):
+        prof = StepProfiler(clock=scripted_clock())
+        Scheduler(RoundRobinPolicy(), instrument=prof, compiled=compiled).run(
+            two_task_machine(), 8
+        )
+        assert prof.steps == 8
+        assert "stop-when" not in prof.phase_calls
+
     def test_injections_booked_separately(self):
         prof = StepProfiler()
         Scheduler(RoundRobinPolicy(), instrument=prof).run(
@@ -271,6 +300,10 @@ class TestSpecProfile:
         result = run_spec(consensus_spec(profile=True))
         cache = result.profile["cache"]
         assert cache["composition.dispatch"]["hits"] > 0
+        # Nearly every step reuses or patches the previous snapshot; only
+        # the fired action's participants re-probe the enabled cache.
+        assert cache["composition.snapshot"]["hit_rate"] > 0.9
+        assert cache["composition.snapshot"]["misses"] >= 1
         assert cache["composition.enabled"]["hit_rate"] > 0.5
 
 

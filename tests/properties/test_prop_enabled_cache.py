@@ -1,6 +1,6 @@
 """Property-based validation of the composition's enabled-cache layer.
 
-The dispatch maps and per-component enabled cache
+The dispatch maps, per-component enabled cache and incremental snapshots
 (:mod:`repro.ioa.composition`) are pure accelerations: on randomized
 compositions driven through randomized fired-action sequences — including
 injected crash events, whose participants' pieces change while everyone
@@ -16,6 +16,7 @@ from repro.ioa.actions import Action
 from repro.ioa.automaton import FunctionalAutomaton
 from repro.ioa.composition import Composition
 from repro.ioa.signature import FiniteActionSet, Signature
+from repro.obs.prof import cache_counter
 from repro.system.crash import CrashAutomaton
 from repro.system.fault_pattern import crash_action
 
@@ -24,19 +25,19 @@ MAX_STATES = 4
 
 
 def brute_force_snapshot(composition, state):
-    """The pre-cache O(tasks × enabled-actions) formula, computed straight
-    from ``enabled_locally`` with no memo in the path."""
+    """The pre-cache formula, computed straight from ``enabled_locally``
+    with no memo in the path: components in composition order, each
+    one's tasks in first-enabled order — the key order a full merge of
+    the per-component groups produces."""
     snapshot = {}
-    for task in composition.tasks():
-        component, local = composition.split_task(task)
+    for component in composition.components:
         piece = composition.component_state(state, component)
-        enabled = tuple(
-            action
-            for action in component.enabled_locally(piece)
-            if component.task_of(action) == local
-        )
-        if enabled:
-            snapshot[task] = enabled
+        for action in component.enabled_locally(piece):
+            local = component.task_of(action)
+            if local is None:
+                continue
+            task = f"{component.name}{composition.TASK_SEPARATOR}{local}"
+            snapshot[task] = snapshot.get(task, ()) + (action,)
     return snapshot
 
 
@@ -46,7 +47,8 @@ def random_systems(draw):
 
     Each component owns a few output actions split over one or two tasks,
     reacts to every other component's outputs and to crash events, and
-    enables a state-dependent subset of its outputs.  A crash automaton
+    enables a state-dependent subset of its outputs in a state-dependent
+    order.  A crash automaton
     rides along so walks can inject crash actions (obligation-free, always
     enabled, never in any task snapshot).
     """
@@ -70,8 +72,12 @@ def random_systems(draw):
             for s in range(n_states)
             for a in observed
         }
+        # A state-dependent subset, in a state-dependent order: equal
+        # groups may then differ only in their key order.
         enabled = {
-            s: tuple(a for a in own if draw(st.booleans()))
+            s: tuple(
+                a for a in draw(st.permutations(own)) if draw(st.booleans())
+            )
             for s in range(n_states)
         }
         n_tasks = draw(st.integers(min_value=1, max_value=2))
@@ -203,3 +209,102 @@ def test_memo_reuse_never_leaks_between_states(system):
 
     for visited, snapshot in trail:
         assert replay.enabled_by_task(visited) == snapshot
+
+
+def fire(composition, state, crashes, choice, crash):
+    """Apply a crash or a task-enabled action of ``state``, picked by
+    ``choice`` from the brute-force enabled set (no snapshot query)."""
+    fireable = sorted(
+        {
+            a
+            for actions in brute_force_snapshot(composition, state).values()
+            for a in actions
+        },
+        key=lambda a: (a.name, a.location),
+    )
+    if crash or not fireable:
+        action = crashes[choice % len(crashes)]
+    else:
+        action = fireable[choice % len(fireable)]
+    return composition.apply(state, action)
+
+
+def checked_snapshot(composition, state):
+    snapshot = composition.enabled_by_task(state)
+    assert list(snapshot.items()) == list(
+        brute_force_snapshot(composition, state).items()
+    )
+    return snapshot
+
+
+MOVES = ("patch", "older", "crash", "repeat")
+
+
+@st.composite
+def mixed_walks(draw):
+    components, crashes, _steps = draw(random_systems())
+    moves = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(MOVES),
+                st.integers(min_value=0, max_value=10**6),
+            ),
+            min_size=1,
+            max_size=16,
+        )
+    )
+    return components, crashes, moves
+
+
+@settings(max_examples=40, deadline=None)
+@given(walk=mixed_walks())
+def test_incremental_snapshots_match_brute_force(walk):
+    """Walks mixing the snapshot's three cases: apply from the snapshotted
+    state (patch), apply from an older state as the tree builder does
+    (full merge), injected crash inputs (patch), and repeated queries of
+    one state (reuse).  Every snapshot equals brute force, key order
+    included, and ``composition.snapshot`` books each case."""
+    components, crashes, moves = walk
+    cached, uncached = make_pair(components)
+    counter = cache_counter("composition.snapshot")
+    state = cached.initial_state()
+    checked_snapshot(cached, state)
+    visited = [state]
+    for move, choice in moves:
+        hits, misses = counter.hits, counter.misses
+        if move == "repeat":
+            # An equal but distinct state object gets the full merge...
+            checked_snapshot(cached, tuple(list(state)))
+            # ...so does the original, which is no longer the last one;
+            first = checked_snapshot(cached, state)
+            # then asking again returns the very same snapshot.
+            assert checked_snapshot(cached, state) is first
+            assert (counter.hits - hits, counter.misses - misses) == (1, 2)
+            continue
+        if move == "older" and len(visited) > 1:
+            source = visited[choice % (len(visited) - 1)]
+            expected = (0, 1)
+        else:
+            source = state
+            expected = (1, 0)
+        state = fire(cached, source, crashes, choice, move == "crash")
+        assert state == fire(uncached, source, crashes, choice, move == "crash")
+        snapshot = checked_snapshot(cached, state)
+        assert (counter.hits - hits, counter.misses - misses) == expected
+        assert snapshot == uncached.enabled_by_task(state)
+        visited.append(state)
+
+
+@settings(max_examples=15, deadline=None)
+@given(system=random_systems())
+def test_uncached_queries_return_distinct_dicts(system):
+    """With caching off no snapshot is kept: every query merges afresh."""
+    components, crashes, steps = system
+    _, uncached = make_pair(components)
+    state = uncached.initial_state()
+    for want_crash, choice in steps:
+        first = uncached.enabled_by_task(state)
+        second = uncached.enabled_by_task(state)
+        assert first is not second
+        assert list(first.items()) == list(second.items())
+        state = fire(uncached, state, crashes, choice, want_crash)
