@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import inspect
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass
@@ -237,9 +236,10 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
     artifact to the run ledger at PATH (:mod:`repro.obs.ledger`);
     ``--compiled`` routes every run the kernel makes through the
     compiled core (:mod:`repro.compiled`, via
-    ``set_compiled_default(True)``) — by the byte-identity contract the
-    measured series are unchanged, only the wall time moves.  None of
-    the flags changes the measured series.
+    ``set_compiled_default(True)``, which forked ``--jobs N`` workers
+    inherit) — by the byte-identity contract the measured series are
+    unchanged, only the wall time moves.  None of the flags changes the
+    measured series.
     """
     args = list(sys.argv[1:] if argv is None else argv)
     try:
@@ -265,10 +265,6 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
 
     summary = None
     previous_default = set_compiled_default(True) if compiled else None
-    previous_env = os.environ.get("REPRO_COMPILED")
-    if compiled:
-        # Worker processes (``--jobs N``) read the env var at import.
-        os.environ["REPRO_COMPILED"] = "1"
     start = time.perf_counter()
     try:
         if profile:
@@ -278,10 +274,6 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
     finally:
         if compiled:
             set_compiled_default(previous_default)
-            if previous_env is None:
-                os.environ.pop("REPRO_COMPILED", None)
-            else:
-                os.environ["REPRO_COMPILED"] = previous_env
     wall = time.perf_counter() - start
     print_series(spec.title, rows, header=spec.header)
     path = emit_bench_artifact(

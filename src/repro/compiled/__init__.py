@@ -28,8 +28,8 @@ integer ids*:
 
 The interpreted path is untouched and remains the oracle: compiled
 execution is opt-in per run (``ExperimentSpec(compiled=True)``,
-``Scheduler(compiled=True)``), process-wide
-(:func:`set_compiled_default`) or via ``REPRO_COMPILED=1``.
+``Scheduler(compiled=True)``) or process-wide
+(:func:`set_compiled_default`).
 :func:`repro.compiled.system.compile_spec` (exposed as
 ``repro.api.compile``) adds a fingerprint-keyed cache so the tables are
 reused across runs of the same spec family.

@@ -1,24 +1,18 @@
 """The process-wide compiled-execution default.
 
 Mirrors :func:`repro.ioa.composition.set_enabled_cache_default`: one
-module-level flag, an environment-variable override for subprocesses
-(``REPRO_COMPILED=1``), and a setter returning the previous value so
-callers can restore it in a ``try/finally``.  Every surface that can
-route through the compiled core (``Scheduler``, ``System.run``,
-``ExperimentSpec``, ``TaggedTreeGraph``) takes ``compiled=None`` to mean
-"the process default"; an explicit ``True``/``False`` always wins.
+module-level flag and a setter returning the previous value so callers
+can restore it in a ``try/finally``.  Forked worker processes
+(:func:`repro.runner.batch.parallel_map`) inherit the flag as the
+parent set it.  Every surface that can route through the compiled core
+(``Scheduler``, ``System.run``, ``ExperimentSpec``, ``TaggedTreeGraph``)
+takes ``compiled=None`` to mean "the process default"; an explicit
+``True``/``False`` always wins.
 """
 
 from __future__ import annotations
 
-import os
-
-
-def _env_compiled_default() -> bool:
-    return os.environ.get("REPRO_COMPILED", "").lower() in ("1", "true", "yes")
-
-
-_compiled_default = _env_compiled_default()
+_compiled_default = False
 
 
 def compiled_default() -> bool:

@@ -25,12 +25,15 @@ drift check enforce it).  Three ingredients:
   :class:`~repro.ioa.executions.Execution` are the interner's canonical
   values — equal by value to the interpreted run's.
 
-The profiled twin books the same phases as the interpreted profiled
-loop (``snapshot``/``policy``/``apply``/``chan-tick``/``observe``/
-``injection``) plus the compiled core's own: ``intern`` for transition
-misses (first sightings doing interpreted applies + interning) and —
-booked by the scheduler-side resolution in :func:`compiled_run` —
-``compile`` for table construction.
+A profiler attaches the way it does to the interpreted loop: the loop
+binds its per-step callables once per run and wraps them when one is
+given.  Compiled profiles book ``policy`` (the driver's choice, snapshot
+table reads included), ``injection``, ``stop-when`` and ``observe``,
+plus the compiled core's own ``intern`` (the initial configuration and
+every transition-table miss) and ``compile`` (table resolution in
+:func:`compiled_run`, before the run starts).  A table hit stays an
+inlined dict probe: its count is the ``compiled.apply`` cache counter's
+hits and its time lands in ``unattributed``.
 """
 
 from __future__ import annotations
@@ -48,6 +51,7 @@ from repro.ioa.scheduler import (
     RoundRobinPolicy,
     SchedulerPolicy,
     _export_cache_metrics,
+    _queued,
 )
 from repro.compiled.tables import CompiledAutomaton, compile_automaton
 
@@ -77,9 +81,6 @@ class _RoundRobinDriver:
         # Keep the policy object's cursor as the interpreted run would
         # have left it (observable to callers reusing the instance).
         self.policy._cursor = self.cursor
-
-    def prewarm(self, cid: int, state: State) -> None:
-        self.core.snapshot_full(cid)
 
     def choose(self, cid: int, step: int) -> Optional[int]:
         n = self.n
@@ -120,9 +121,6 @@ class _RandomDriver:
     def finish(self) -> None:
         pass
 
-    def prewarm(self, cid: int, state: State) -> None:
-        self.core.snapshot_dense(cid)
-
     def choose(self, cid: int, step: int) -> Optional[int]:
         dense = self.core.snapshot_dense(cid)
         if not dense:
@@ -140,11 +138,12 @@ class _BridgedView:
     snapshot from the memo instead of re-merging per-component enabled
     sets.  The memo holds the interpreted result verbatim (same keys,
     same insertion order, same tuples) and hands out a fresh shallow
-    copy per call, exactly as :meth:`Composition.enabled_by_task`
-    returns a fresh dict, so policies that mutate their snapshot see no
-    difference.  Entries pin the state object, keeping identity keys
-    valid for the memo's lifetime.  Every other attribute delegates to
-    the base automaton.
+    copy per call.  :meth:`Composition.enabled_by_task` instead returns
+    a shared, read-only dict when its enabled cache is on (a fresh one
+    only with the cache off); the copy keeps a policy that mutates its
+    snapshot from corrupting the memo.  Entries pin the state object,
+    keeping identity keys valid for the memo's lifetime.  Every other
+    attribute delegates to the base automaton.
     """
 
     __slots__ = ("_base", "_memo")
@@ -191,9 +190,6 @@ class _GenericDriver:
     def finish(self) -> None:
         pass
 
-    def prewarm(self, cid: int, state: State) -> None:
-        self.view.enabled_by_task(state)
-
     def _intern_chosen(self, action: Action) -> int:
         entry = self.aid_memo.get(id(action))
         if entry is not None and entry[0] is action:
@@ -229,9 +225,6 @@ class _AdversarialDriver(_GenericDriver):
     def __init__(self, core: CompiledAutomaton, policy: AdversarialPolicy):
         super().__init__(core, policy)
         self.options_memo: Dict[int, list] = {}
-
-    def prewarm(self, cid: int, state: State) -> None:
-        self._options(cid, state)
 
     def _options(self, cid: int, state: State) -> list:
         options = self.options_memo.get(cid)
@@ -287,14 +280,22 @@ def run_compiled(
     Semantics (and the returned execution) are identical to
     ``Scheduler.run`` with the same arguments on ``core.base``.
     """
-    if profiler is not None:
-        return _run_compiled_profiled(
-            core, policy, max_steps, injections, stop_when, start,
-            observer, metrics, profiler,
-        )
     driver = _driver_for(core, policy)
     driver.reset()
     base = core.base
+    choose = driver.choose
+    enabled = base.enabled
+    intern_config = core.intern_config
+    transition = core._transition
+    if profiler is not None:
+        choose = profiler.timed("policy", choose)
+        enabled = profiler.timed("injection", enabled)
+        intern_config = profiler.timed("intern", intern_config)
+        transition = profiler.timed("intern", transition)
+        if stop_when is not None:
+            stop_when = profiler.timed("stop-when", stop_when)
+        if observer is not None:
+            observer = profiler.observer(observer)
     wall_start = time.perf_counter() if metrics is not None else 0.0
     if metrics is not None:
         from repro.obs.prof import cache_stats_snapshot
@@ -303,10 +304,11 @@ def run_compiled(
     pending: Dict[int, List[Action]] = {}
     for injection in injections:
         pending.setdefault(injection.step, []).append(injection.action)
+    if profiler is not None:
+        queued = _queued(pending)
+        profiler.on_run_start()
 
-    cid = core.intern_config(
-        base.initial_state() if start is None else start
-    )
+    cid = intern_config(base.initial_state() if start is None else start)
     state = core.state_of(cid)
     states: List[State] = [state]
     actions: List[Action] = []
@@ -338,14 +340,14 @@ def run_compiled(
             action = pending[due].pop(0)
             if not pending[due]:
                 del pending[due]
-            if not base.enabled(state, action):
+            if not enabled(state, action):
                 raise ValueError(
                     f"injection {action} at step {step} is not enabled"
                 )
             injected = True
             aid = core.intern_action(action)
         else:
-            aid = driver.choose(cid, step)
+            aid = choose(cid, step)
             if aid is None:
                 if not pending:
                     reason = "quiescent"
@@ -354,7 +356,7 @@ def run_compiled(
                 action = pending[next_step].pop(0)
                 if not pending[next_step]:
                     del pending[next_step]
-                if not base.enabled(state, action):
+                if not enabled(state, action):
                     raise ValueError(
                         f"injection {action} (fast-forwarded from step "
                         f"{next_step}) is not enabled"
@@ -370,7 +372,7 @@ def run_compiled(
             cid = nid
         else:
             apply_counter.misses += 1
-            cid = core._transition(cid, aid)
+            cid = transition(cid, aid)
             apply_memo[key] = cid
         state = state_of(cid)
         push_state(state)
@@ -381,154 +383,8 @@ def run_compiled(
     driver.finish()
     if observer is not None:
         observer.on_run_end(step, reason)
-    if metrics is not None:
-        metrics.counter("scheduler.runs").inc()
-        metrics.counter("scheduler.steps").inc(step)
-        metrics.histogram("scheduler.run_wall_s").observe(
-            time.perf_counter() - wall_start
-        )
-        _export_cache_metrics(metrics, cache_base)
-    return Execution(states, actions)
-
-
-def _run_compiled_profiled(
-    core: CompiledAutomaton,
-    policy: SchedulerPolicy,
-    max_steps: int,
-    injections: Iterable[Injection] = (),
-    stop_when: Optional[Callable[[State, int], bool]] = None,
-    start: Optional[State] = None,
-    observer=None,
-    metrics=None,
-    profiler=None,
-) -> Execution:
-    """The phase-accounted twin of :func:`run_compiled`.
-
-    Books the interpreted loop's phases, with one compiled-specific
-    split: a transition-memo *miss* (interpreted applies + interning on
-    first sighting) is booked under ``intern`` instead of ``apply`` /
-    ``chan-tick``, so a profile directly shows how much of a run was
-    table construction versus table replay.
-    """
-    prof = profiler
-    clock = prof.clock
-    driver = _driver_for(core, policy)
-    driver.reset()
-    base = core.base
-    wall_start = time.perf_counter() if metrics is not None else 0.0
-    if metrics is not None:
-        from repro.obs.prof import cache_stats_snapshot
-
-        cache_base = cache_stats_snapshot()
-    pending: Dict[int, List[Action]] = {}
-    for injection in injections:
-        pending.setdefault(injection.step, []).append(injection.action)
-
-    t0 = clock()
-    cid = core.intern_config(
-        base.initial_state() if start is None else start
-    )
-    prof.add("intern", clock() - t0)
-    state = core.state_of(cid)
-    states: List[State] = [state]
-    actions: List[Action] = []
-    step = 0
-    reason = "max-steps"
-    injected_count = 0
-    apply_memo = core._apply_memo
-    apply_counter = core._c_apply
-    prof.on_run_start()
-    if observer is not None:
-        observer.on_run_start(base, max_steps)
-    while step < max_steps:
-        if stop_when is not None:
-            t0 = clock()
-            stop = stop_when(state, step)
-            prof.add("stop-when", clock() - t0)
-            if stop:
-                reason = "stopped"
-                break
-        if observer is not None:
-            t0 = clock()
-            observer.on_step_scheduled(step)
-            prof.add("observe", clock() - t0)
-        injected = False
-        due = (
-            min((s for s in pending if s <= step), default=None)
-            if pending
-            else None
-        )
-        if due is not None:
-            t0 = clock()
-            action = pending[due].pop(0)
-            if not pending[due]:
-                del pending[due]
-            if not base.enabled(state, action):
-                raise ValueError(
-                    f"injection {action} at step {step} is not enabled"
-                )
-            injected = True
-            aid = core.intern_action(action)
-            prof.add("injection", clock() - t0)
-        else:
-            # Warm what the policy is about to consume, mirroring the
-            # interpreted profiled loop's snapshot/policy split: each
-            # driver prewarms its own source (snapshot tables for the
-            # twins, the bridged view's memo for generic policies).
-            t0 = clock()
-            driver.prewarm(cid, state)
-            t1 = clock()
-            prof.add("snapshot", t1 - t0)
-            aid = driver.choose(cid, step)
-            prof.add("policy", clock() - t1)
-            if aid is None:
-                if not pending:
-                    reason = "quiescent"
-                    break
-                t0 = clock()
-                next_step = min(pending)
-                action = pending[next_step].pop(0)
-                if not pending[next_step]:
-                    del pending[next_step]
-                if not base.enabled(state, action):
-                    raise ValueError(
-                        f"injection {action} (fast-forwarded from step "
-                        f"{next_step}) is not enabled"
-                    )
-                injected = True
-                aid = core.intern_action(action)
-                prof.add("injection", clock() - t0)
-            else:
-                action = core.action_of(aid)
-        if injected:
-            injected_count += 1
-        t0 = clock()
-        key = (cid, aid)
-        nid = apply_memo.get(key)
-        if nid is not None:
-            apply_counter.hits += 1
-            cid = nid
-            phase = "chan-tick" if core.is_tick(aid) else "apply"
-        else:
-            apply_counter.misses += 1
-            cid = core._transition(cid, aid)
-            apply_memo[key] = cid
-            phase = "intern"
-        prof.add(phase, clock() - t0)
-        state = core.state_of(cid)
-        states.append(state)
-        actions.append(action)
-        if observer is not None:
-            t0 = clock()
-            observer.on_action(step, action, injected)
-            prof.add("observe", clock() - t0)
-        step += 1
-    driver.finish()
-    if observer is not None:
-        t0 = clock()
-        observer.on_run_end(step, reason)
-        prof.add("observe", clock() - t0)
-    prof.on_run_end(step, injected_count)
+    if profiler is not None:
+        profiler.on_run_end(step, queued - _queued(pending))
     if metrics is not None:
         metrics.counter("scheduler.runs").inc()
         metrics.counter("scheduler.steps").inc(step)
@@ -557,9 +413,7 @@ def compiled_run(
     resolution is booked under the ``compile`` phase.
     """
     if profiler is not None:
-        t0 = profiler.clock()
-        core = compile_automaton(automaton)
-        profiler.add("compile", profiler.clock() - t0)
+        core = profiler.timed("compile", compile_automaton)(automaton)
     else:
         core = compile_automaton(automaton)
     return run_compiled(

@@ -53,10 +53,9 @@ Correctness rests on the module contract that states are immutable and
 ``enabled_locally`` is a pure function of the state
 (:mod:`repro.ioa.automaton`); ``tests/properties`` cross-checks the cache
 against brute-force re-enumeration on randomized compositions.  Caching
-can be disabled per instance (``use_enabled_cache=False``), process-wide
-(:func:`set_enabled_cache_default`), or via the environment variable
-``REPRO_DISABLE_ENABLED_CACHE=1`` — the disabled path is the original
-predicate scan, which CI uses as the semantics oracle.
+can be disabled per instance (``use_enabled_cache=False``) or
+process-wide (:func:`set_enabled_cache_default`) — the disabled path is
+the original predicate scan, which CI uses as the semantics oracle.
 
 Every memo probe tallies into the process-global cache telemetry
 (``composition.dispatch`` / ``composition.task`` / ``composition.enabled``
@@ -67,7 +66,6 @@ report as hit rates.
 
 from __future__ import annotations
 
-import os
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
@@ -85,15 +83,7 @@ class CompositionError(Exception):
     """Raised when automata cannot be composed, or a step is ambiguous."""
 
 
-def _env_cache_default() -> bool:
-    return os.environ.get("REPRO_DISABLE_ENABLED_CACHE", "").lower() not in (
-        "1",
-        "true",
-        "yes",
-    )
-
-
-_cache_default = _env_cache_default()
+_cache_default = True
 
 
 def enabled_cache_default() -> bool:

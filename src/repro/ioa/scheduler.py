@@ -34,8 +34,8 @@ from repro.ioa.executions import Execution
 from repro.obs.prof import cache_stats_delta, cache_stats_snapshot
 
 #: The chaos channels' internal delay-aging action
-#: (:data:`repro.faults.channels.TICK`); the profiled loop books its
-#: applies under the dedicated ``chan-tick`` phase.
+#: (:data:`repro.faults.channels.TICK`); a profiled run books its
+#: applies under the phase of the same name.
 CHAN_TICK = "chan-tick"
 
 
@@ -48,6 +48,23 @@ def _export_cache_metrics(metrics, cache_base) -> None:
                 metrics.counter(f"cache.{name}.{kind}").inc(stats[kind])
 
 
+def _queued(pending: Dict[int, List[Action]]) -> int:
+    """How many injections are still waiting in ``pending``."""
+    return sum(len(actions) for actions in pending.values())
+
+
+def _timed_apply(prof, apply):
+    """``apply`` booked under ``chan-tick`` for the chaos channels'
+    delay ager and under ``apply`` for every other action."""
+    plain = prof.timed("apply", apply)
+    tick = prof.timed("chan-tick", apply)
+
+    def timed_apply(state, action):
+        return (tick if action.name == CHAN_TICK else plain)(state, action)
+
+    return timed_apply
+
+
 #: Process-wide fallback profiler (see :func:`set_default_profiler`).
 _DEFAULT_PROFILER = None
 
@@ -57,10 +74,11 @@ def set_default_profiler(profiler):
 
     Schedulers constructed *after* this call with no profiler of their
     own adopt it — the seam the benchmark CLIs' ``--profile`` flag uses
-    to profile kernels that build their schedulers internally.  The cost
-    model is unchanged: the check happens once at ``Scheduler``
-    construction, never in the step loop, and an explicit
-    ``instrument=`` profiler always wins.  Returns the previous default
+    to profile kernels that build their schedulers internally.  The
+    check happens once at ``Scheduler`` construction, and the profiler
+    attaches to each run by wrapping the step loop's callables at run
+    start, never by a per-step test.  An explicit ``instrument=``
+    profiler always wins.  Returns the previous default
     so callers can restore it (``try/finally``), mirroring
     :func:`repro.ioa.composition.set_enabled_cache_default`.
     """
@@ -224,15 +242,17 @@ class Scheduler:
         :class:`repro.obs.metrics.MetricsRegistry` recording
         ``scheduler.runs`` / ``scheduler.steps`` counters, a
         ``scheduler.run_wall_s`` histogram and per-run ``cache.*``
-        deltas; a :class:`repro.obs.prof.StepProfiler` routing the run
-        through the phase-accounted twin loop (``_run_profiled``) —
-        identical executions, per-phase cost books; an
+        deltas; a :class:`repro.obs.prof.StepProfiler`, which books
+        per-phase costs through timing wrappers around the callables
+        :meth:`run` binds once per run (``policy.choose``, ``apply``,
+        the injection ``enabled`` check, ``stop_when``, the observer's
+        hooks, and the policy's ``enabled_by_task`` view) — the same
+        loop, identical executions; an
         :class:`~repro.obs.instrument.Instrumentation` bundle; or a tuple
         of those.  ``None`` (the default) keeps the hot loop free of
         tracing work: no observer means no per-step object is allocated
-        and the only cost is one ``is not None`` test per event — with
-        no profiler the unprofiled loop below runs byte-for-byte as
-        before (one ``is not None`` test per run, not per step).
+        and the only cost is one ``is not None`` test per event; with
+        no profiler nothing is wrapped.
     compiled:
         ``True`` routes :meth:`run` through the compiled core
         (:mod:`repro.compiled`): the automaton is lowered once into
@@ -240,9 +260,9 @@ class Scheduler:
         by the array step loop — same executions, same observer/metrics
         protocol, table-replay speed.  ``False`` forces the interpreted
         loop; ``None`` (default) defers to the process default
-        (:func:`repro.compiled.config.set_compiled_default`,
-        ``REPRO_COMPILED=1``), which is off unless opted into — the
-        interpreted path below remains the oracle.
+        (:func:`repro.compiled.config.set_compiled_default`), which is
+        off unless opted into — the interpreted path below remains the
+        oracle.
 
     Examples
     --------
@@ -309,18 +329,34 @@ class Scheduler:
                 metrics=self._metrics,
                 profiler=self.profiler,
             )
-        if self.profiler is not None:
-            return self._run_profiled(
-                automaton, max_steps, injections, stop_when, start
-            )
-        self.policy.reset()
+        policy = self.policy
+        policy.reset()
         observer = self.observer
         metrics = self._metrics
+        prof = self.profiler
+        # The per-step callables, bound once per run (after any
+        # class-level patching, so external tracers still see every call).
+        choose = policy.choose
+        enabled = automaton.enabled
+        apply = automaton.apply
+        view = automaton
+        if prof is not None:
+            view = prof.view(automaton, enabled_by_task="snapshot")
+            choose = prof.timed("policy", choose)
+            enabled = prof.timed("injection", enabled)
+            apply = _timed_apply(prof, apply)
+            if stop_when is not None:
+                stop_when = prof.timed("stop-when", stop_when)
+            if observer is not None:
+                observer = prof.observer(observer)
         wall_start = time.perf_counter() if metrics is not None else 0.0
         cache_base = cache_stats_snapshot() if metrics is not None else {}
         pending: Dict[int, List[Action]] = {}
         for injection in injections:
             pending.setdefault(injection.step, []).append(injection.action)
+        if prof is not None:
+            queued = _queued(pending)
+            prof.on_run_start()
 
         state = automaton.initial_state() if start is None else start
         states: List[State] = [state]
@@ -344,13 +380,13 @@ class Scheduler:
                 action = pending[due].pop(0)
                 if not pending[due]:
                     del pending[due]
-                if not automaton.enabled(state, action):
+                if not enabled(state, action):
                     raise ValueError(
                         f"injection {action} at step {step} is not enabled"
                     )
                 injected = True
             else:
-                chosen = self.policy.choose(automaton, state, step)
+                chosen = choose(view, state, step)
                 if chosen is None:
                     if not pending:
                         reason = "quiescent"
@@ -361,7 +397,7 @@ class Scheduler:
                     action = pending[next_step].pop(0)
                     if not pending[next_step]:
                         del pending[next_step]
-                    if not automaton.enabled(state, action):
+                    if not enabled(state, action):
                         raise ValueError(
                             f"injection {action} (fast-forwarded from step "
                             f"{next_step}) is not enabled"
@@ -369,7 +405,7 @@ class Scheduler:
                     injected = True
                 else:
                     action = chosen
-            state = automaton.apply(state, action)
+            state = apply(state, action)
             states.append(state)
             actions.append(action)
             if observer is not None:
@@ -377,132 +413,8 @@ class Scheduler:
             step += 1
         if observer is not None:
             observer.on_run_end(step, reason)
-        if metrics is not None:
-            metrics.counter("scheduler.runs").inc()
-            metrics.counter("scheduler.steps").inc(step)
-            metrics.histogram("scheduler.run_wall_s").observe(
-                time.perf_counter() - wall_start
-            )
-            _export_cache_metrics(metrics, cache_base)
-        return Execution(states, actions)
-
-    def _run_profiled(
-        self,
-        automaton: Automaton,
-        max_steps: int,
-        injections: Iterable[Injection] = (),
-        stop_when: Optional[Callable[[State, int], bool]] = None,
-        start: Optional[State] = None,
-    ) -> Execution:
-        """The phase-accounted twin of :meth:`run`.
-
-        Step-for-step identical to the unprofiled loop — same policy
-        calls, same injection resolution (including the fast-forward
-        branch and its error messages), same stop/quiescence semantics —
-        so the produced :class:`~repro.ioa.executions.Execution` is
-        byte-identical to an unprofiled run.  The only additions are the
-        phase books: each step is split into ``stop-when`` (the
-        ``stop_when`` predicate, when one is given), ``snapshot`` (warming
-        the grouped enabled-set the policy consumes), ``policy``,
-        ``apply`` (or ``chan-tick`` when the applied action is the
-        channels' delay ager), ``observe`` and ``injection``, timed with
-        the profiler's
-        injectable clock.  Wall times land only in the profile summary,
-        never in the execution.
-        """
-        prof = self.profiler
-        clock = prof.clock
-        self.policy.reset()
-        observer = self.observer
-        metrics = self._metrics
-        wall_start = time.perf_counter() if metrics is not None else 0.0
-        cache_base = cache_stats_snapshot() if metrics is not None else {}
-        pending: Dict[int, List[Action]] = {}
-        for injection in injections:
-            pending.setdefault(injection.step, []).append(injection.action)
-
-        state = automaton.initial_state() if start is None else start
-        states: List[State] = [state]
-        actions: List[Action] = []
-        step = 0
-        reason = "max-steps"
-        injected_count = 0
-        prof.on_run_start()
-        if observer is not None:
-            observer.on_run_start(automaton, max_steps)
-        while step < max_steps:
-            if stop_when is not None:
-                t0 = clock()
-                stop = stop_when(state, step)
-                prof.add("stop-when", clock() - t0)
-                if stop:
-                    reason = "stopped"
-                    break
-            if observer is not None:
-                t0 = clock()
-                observer.on_step_scheduled(step)
-                prof.add("observe", clock() - t0)
-            injected = False
-            due = min((s for s in pending if s <= step), default=None)
-            if due is not None:
-                t0 = clock()
-                action = pending[due].pop(0)
-                if not pending[due]:
-                    del pending[due]
-                if not automaton.enabled(state, action):
-                    raise ValueError(
-                        f"injection {action} at step {step} is not enabled"
-                    )
-                injected = True
-                prof.add("injection", clock() - t0)
-            else:
-                # Warm the grouped enabled-set the policy is about to
-                # consume.  ``enabled_by_task`` is pure, so the policy's
-                # own call returns the same snapshot (memo hit) and the
-                # chosen action is unchanged; the split just books the
-                # enabled-set cost separately from the choice itself.
-                t0 = clock()
-                automaton.enabled_by_task(state)
-                t1 = clock()
-                prof.add("snapshot", t1 - t0)
-                chosen = self.policy.choose(automaton, state, step)
-                prof.add("policy", clock() - t1)
-                if chosen is None:
-                    if not pending:
-                        reason = "quiescent"
-                        break
-                    t0 = clock()
-                    next_step = min(pending)
-                    action = pending[next_step].pop(0)
-                    if not pending[next_step]:
-                        del pending[next_step]
-                    if not automaton.enabled(state, action):
-                        raise ValueError(
-                            f"injection {action} (fast-forwarded from step "
-                            f"{next_step}) is not enabled"
-                        )
-                    injected = True
-                    prof.add("injection", clock() - t0)
-                else:
-                    action = chosen
-            if injected:
-                injected_count += 1
-            t0 = clock()
-            state = automaton.apply(state, action)
-            phase = "chan-tick" if action.name == CHAN_TICK else "apply"
-            prof.add(phase, clock() - t0)
-            states.append(state)
-            actions.append(action)
-            if observer is not None:
-                t0 = clock()
-                observer.on_action(step, action, injected)
-                prof.add("observe", clock() - t0)
-            step += 1
-        if observer is not None:
-            t0 = clock()
-            observer.on_run_end(step, reason)
-            prof.add("observe", clock() - t0)
-        prof.on_run_end(step, injected_count)
+        if prof is not None:
+            prof.on_run_end(step, queued - _queued(pending))
         if metrics is not None:
             metrics.counter("scheduler.runs").inc()
             metrics.counter("scheduler.steps").inc(step)

@@ -25,9 +25,10 @@ nothing here runs unless an observer or a metrics registry is attached.
     artifacts, with a validator (also a CLI: ``python -m
     repro.obs.schema``).
 ``repro.obs.prof``
-    Step-level profiling: the :class:`StepProfiler` the scheduler's
-    phase-accounted twin loop books into, plus the process-global cache
-    hit/miss/evict counters the hot-path memos increment.
+    Step-level profiling: the :class:`StepProfiler`, whose timing
+    wrappers around a run's per-step callables book the step phases,
+    plus the process-global cache hit/miss/evict counters the hot-path
+    memos increment.
 ``repro.obs.ledger``
     The content-addressed run ledger: append-only JSONL records keyed
     by the SHA-256 of each run's canonical identity (also a CLI:

@@ -15,28 +15,39 @@ against.  Two halves:
     what is enabled, choose, apply, notify — plus the chaos layer's
     internal channel clock:
 
-    ===============  =====================================================
-    ``stop-when``    the run's ``stop_when`` predicate, evaluated before
-                     every step when one is given
-    ``snapshot``     the per-step enabled-by-task snapshot (Section 2.2
-                     enabledness over the composed signature)
-    ``policy``       the scheduler policy's choice among enabled tasks
-                     (the fairness-resolving nondeterminism, Section 2.4)
-    ``apply``        the transition function on the chosen action
-    ``chan-tick``    applies of the chaos channels' internal ``chan-tick``
-                     action (delay aging), split out of ``apply``
-    ``observe``      observer notifications (tracing, metrics, oracles)
-    ``injection``    resolving adversary-injected free actions
-    ===============  =====================================================
+    ================  ====================================================
+    ``stop-when``     the run's ``stop_when`` predicate, evaluated before
+                      every step when one is given
+    ``snapshot``      the per-step enabled-by-task snapshot (Section 2.2
+                      enabledness over the composed signature)
+    ``policy``        the scheduler policy's choice among enabled tasks
+                      (the fairness-resolving nondeterminism, Section 2.4)
+    ``apply``         the transition function on the chosen action
+    ``chan-tick``     applies of the chaos channels' internal ``chan-tick``
+                      action (delay aging), split out of ``apply``
+    ``observe``       observer notifications (tracing, metrics, oracles)
+    ``injection``     the enabledness check of adversary-injected free
+                      actions
+    ``compile``       compiled engine: table resolution, booked before the
+                      run starts
+    ``intern``        compiled engine: interning the initial configuration
+                      and every transition-table miss (an interpreted
+                      apply on a configuration's first sighting)
+    ``unattributed``  once per run: the loop's wall time minus every phase
+                      booked inside it (queue bookkeeping, appends, the
+                      compiled engine's table-hit replays)
+    ================  ====================================================
 
     Every phase carries **two** books: a deterministic call counter
     (byte-stable across machines for a fixed spec) and a wall-clock
     total read through an injectable ``clock`` (default
     ``time.perf_counter``).  Wall time never flows into trace or series
-    data — it lives only in the profile summary.  Attaching a profiler
-    costs a run exactly one ``is not None`` test when off: the scheduler
-    keeps its original unprofiled loop and only a profiled run takes the
-    instrumented twin (``Scheduler._run_profiled``).
+    data — it lives only in the profile summary.  A run attaches a
+    profiler by wrapping the callables its one step loop binds at run
+    start (:meth:`StepProfiler.timed`, :meth:`StepProfiler.view`).  Each
+    wrapper books its callable's *self* time, so a run's phases sum to
+    its loop wall.  Without a profiler nothing is wrapped: the loop calls
+    the bound methods directly.
 
 Cache telemetry (:func:`cache_counter`)
     Process-global named hit/miss/evict counters the hot-path memos
@@ -68,12 +79,12 @@ from typing import Any, Callable, Dict, List, Optional
 #: The profile summary schema identifier.
 PROFILE_SCHEMA = "repro.profile/1"
 
-#: The scheduler step-loop phases, in step order.  The last two are
-#: booked only by the compiled path (:mod:`repro.compiled.loop`):
-#: ``compile`` is table construction at run setup, ``intern`` is a
-#: transition-table miss (an interpreted apply + interning on a
-#: configuration's first sighting); a table hit books under ``apply`` /
-#: ``chan-tick`` like the interpreted loop.
+#: The scheduler step-loop phases, in step order.  ``compile`` and
+#: ``intern`` are booked only by the compiled engine
+#: (:mod:`repro.compiled.loop`), which books no ``snapshot``, ``apply``
+#: or ``chan-tick``: its policy twins read the snapshot tables inside
+#: ``policy``, and a transition-table hit is an inlined dict probe whose
+#: time lands in ``unattributed``.
 PHASES = (
     "stop-when",
     "snapshot",
@@ -84,6 +95,16 @@ PHASES = (
     "injection",
     "compile",
     "intern",
+    "unattributed",
+)
+
+#: The observer protocol's hooks (:class:`repro.obs.trace.Observer`),
+#: all booked under ``observe``.
+_OBSERVER_HOOKS = (
+    "on_run_start",
+    "on_step_scheduled",
+    "on_action",
+    "on_run_end",
 )
 
 
@@ -253,8 +274,13 @@ class StepProfiler:
         self.injections = 0
         self.states_touched = 0
         self._cache_base = cache_stats_snapshot()
+        # Time covered by wrapped calls nested in the open wrapped call.
+        self._nested = 0.0
+        # The open run's start reading and the phase total booked before it.
+        self._run_t0 = 0.0
+        self._run_booked = 0.0
 
-    # -- Recording (called from the scheduler's profiled loop) -----------
+    # -- Recording (called from the scheduler's step loop) ----------------
 
     def t(self) -> float:
         """A reading of the injectable duration clock."""
@@ -265,10 +291,67 @@ class StepProfiler:
         self.phase_calls[phase] = self.phase_calls.get(phase, 0) + 1
         self.phase_wall_s[phase] = self.phase_wall_s.get(phase, 0.0) + dur_s
 
+    def timed(self, phase: str, fn: Callable) -> Callable:
+        """``fn``, booking each call's *self* time under ``phase``.
+
+        Time spent in wrapped calls nested inside ``fn`` is subtracted,
+        so a policy whose ``choose`` reads a wrapped snapshot books the
+        snapshot once, under ``snapshot``, and only the rest under
+        ``policy``.
+
+        >>> ticks = iter(range(100))
+        >>> prof = StepProfiler(clock=lambda: float(next(ticks)))
+        >>> inner = prof.timed("snapshot", lambda: None)
+        >>> prof.timed("policy", lambda: inner())()
+        >>> prof.phase_wall_s
+        {'snapshot': 1.0, 'policy': 2.0}
+        """
+        clock = self.clock
+        add = self.add
+
+        def wrapper(*args, **kwargs):
+            outer = self._nested
+            self._nested = 0.0
+            t0 = clock()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                dur = clock() - t0
+                add(phase, dur - self._nested)
+                self._nested = outer + dur
+
+        return wrapper
+
+    def view(self, base: Any, **phases: str) -> Any:
+        """``base`` with each named method booked under its phase.
+
+        ``view(automaton, enabled_by_task="snapshot")`` is what a
+        profiled run shows its policy; every other attribute delegates
+        to ``base``.
+        """
+        methods = {
+            name: self.timed(phase, getattr(base, name))
+            for name, phase in phases.items()
+        }
+        return _TimedView(base, methods)
+
+    def observer(self, observer: Any) -> Any:
+        """``observer`` with its four hooks booked under ``observe``."""
+        return self.view(
+            observer, **dict.fromkeys(_OBSERVER_HOOKS, "observe")
+        )
+
     def on_run_start(self) -> None:
+        """Open a run: the loop wall starts at this clock reading."""
         self.runs += 1
+        self._run_booked = self.wall_s
+        self._run_t0 = self.clock()
 
     def on_run_end(self, steps: int, injections: int) -> None:
+        """Close the run opened by :meth:`on_run_start`, booking its
+        wall time minus the phases booked inside it as ``unattributed``."""
+        wall = self.clock() - self._run_t0
+        self.add("unattributed", wall - (self.wall_s - self._run_booked))
         self.steps += steps
         self.injections += injections
         # Every fired step touches one fresh state (plus the initial one
@@ -284,6 +367,7 @@ class StepProfiler:
         self.injections = 0
         self.states_touched = 0
         self._cache_base = cache_stats_snapshot()
+        self._nested = 0.0
 
     # -- Export -----------------------------------------------------------
 
@@ -334,6 +418,18 @@ class StepProfiler:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(text + "\n")
         return text
+
+
+class _TimedView:
+    """An object's stand-in whose listed methods are timing wrappers;
+    every other attribute delegates to the object itself."""
+
+    def __init__(self, base: Any, methods: Dict[str, Callable]):
+        self._base = base
+        self.__dict__.update(methods)
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self._base, name)
 
 
 # ---------------------------------------------------------------------------

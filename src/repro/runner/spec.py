@@ -31,10 +31,11 @@ The executable problems:
     trace, and ``result.conformance`` carries the localized verdict
     (first violating index + reason) — the implementation→axioms loop.
 
-Either problem can execute on the *compiled* engine
-(``compiled=True`` / ``REPRO_COMPILED=1``): the spec's system is
-lowered once into interned-id tables (:func:`repro.compiled.system.
-compile_spec`, cached by spec fingerprint) and runs replay them —
+Either problem can execute on the *compiled* engine (``compiled=True``
+or :func:`~repro.compiled.config.set_compiled_default`): the spec's
+system is lowered once into interned-id tables
+(:func:`repro.compiled.system.compile_spec`, cached by spec
+fingerprint) and runs replay them —
 traces, decisions and verdicts are byte-identical to the interpreted
 path, which stays the oracle.
 """
@@ -119,10 +120,10 @@ class ExperimentSpec:
         the spec's system is built and lowered once per fingerprint and
         reused across runs.  ``False`` forces the interpreted engine;
         ``None`` (default) defers to the process default
-        (:func:`repro.compiled.config.set_compiled_default`,
-        ``REPRO_COMPILED=1``).  Results are byte-identical either way;
-        the flag is deliberately *not* part of :meth:`meta`, so
-        artifacts regenerated on either engine compare clean.
+        (:func:`repro.compiled.config.set_compiled_default`).  Results
+        are byte-identical either way; the flag is deliberately *not*
+        part of :meth:`meta`, so artifacts regenerated on either engine
+        compare clean.
     label:
         Free-form identity used in batch rows and artifacts.
     """

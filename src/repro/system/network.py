@@ -119,8 +119,7 @@ class SystemBuilder:
         :mod:`repro.obs.instrument`): the observer half is notified by
         every run of the built system unless overridden per-run; the
         metrics half is recorded into by the composition and channels;
-        the profiler half routes every run through the scheduler's
-        phase-accounted loop."""
+        the profiler half books the step phases of every run."""
         from repro.obs.instrument import coerce_instrument
 
         bundle = coerce_instrument(instrument)

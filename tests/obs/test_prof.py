@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import json
+from collections import Counter
 
 import pytest
 
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
+from repro.compiled.system import clear_spec_cache
+from repro.faults import FaultPlan
 from repro.ioa.actions import Action
-from repro.ioa.automaton import FunctionalAutomaton
+from repro.ioa.automaton import Automaton, FunctionalAutomaton
 from repro.ioa.scheduler import (
     Injection,
     RoundRobinPolicy,
@@ -28,6 +31,8 @@ from repro.obs.prof import (
     reset_cache_stats,
     validate_profile,
 )
+from repro.obs.trace import Observer
+from repro.problems.bounded import MaskedRoundRobinPolicy
 from repro.runner import ExperimentSpec, run_spec
 
 T1 = Action("t1", 0)
@@ -55,15 +60,42 @@ def two_task_machine():
     )
 
 
-def scripted_clock(step=1.0):
-    """A deterministic clock advancing by ``step`` per reading."""
+def scripted_clock(step=1.0, readings=None):
+    """A deterministic clock advancing by ``step`` per reading (each
+    reading is appended to ``readings`` when given)."""
     state = {"t": 0.0}
 
     def clock():
         state["t"] += step
+        if readings is not None:
+            readings.append(state["t"])
         return state["t"]
 
     return clock
+
+
+def _automaton_classes(cls=Automaton):
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _automaton_classes(sub)
+
+
+@pytest.fixture
+def snapshot_calls(monkeypatch):
+    """Counts ``enabled_by_task`` calls per defining class, wherever the
+    call comes from (policies, compiled snapshot tables, bridges)."""
+    calls = Counter()
+    for cls in set(_automaton_classes()):
+        original = cls.__dict__.get("enabled_by_task")
+        if original is None:
+            continue
+
+        def counted(self, state, _original=original, _name=cls.__qualname__):
+            calls[_name] += 1
+            return _original(self, state)
+
+        monkeypatch.setattr(cls, "enabled_by_task", counted)
+    return calls
 
 
 class TestStepProfiler:
@@ -185,25 +217,38 @@ class TestCacheCounters:
 
 
 class TestSchedulerIntegration:
-    def test_profiled_run_is_execution_identical(self):
-        base = Scheduler(RoundRobinPolicy()).run(two_task_machine(), 8)
-        prof = StepProfiler()
-        profiled = Scheduler(RoundRobinPolicy(), instrument=prof).run(
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_profiled_run_is_execution_identical(self, compiled):
+        base = Scheduler(RoundRobinPolicy(), compiled=compiled).run(
             two_task_machine(), 8
         )
+        prof = StepProfiler()
+        profiled = Scheduler(
+            RoundRobinPolicy(), instrument=prof, compiled=compiled
+        ).run(two_task_machine(), 8)
         assert list(profiled.actions) == list(base.actions)
         assert list(profiled.states) == list(base.states)
 
-    def test_phases_and_counters_recorded(self):
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_phases_and_counters_recorded(self, compiled):
         prof = StepProfiler()
-        Scheduler(RoundRobinPolicy(), instrument=prof).run(
+        Scheduler(RoundRobinPolicy(), instrument=prof, compiled=compiled).run(
             two_task_machine(), 8
         )
         assert prof.runs == 1
         assert prof.steps == 8
-        assert prof.phase_calls["snapshot"] == 8
         assert prof.phase_calls["policy"] == 8
-        assert prof.phase_calls["apply"] == 8
+        assert prof.phase_calls["unattributed"] == 1
+        if compiled:
+            # The initial configuration plus one table miss per step
+            # (the toy machine's counters never revisit a state).
+            assert prof.phase_calls["intern"] == 9
+            assert prof.phase_calls["compile"] == 1
+            assert "snapshot" not in prof.phase_calls
+            assert "apply" not in prof.phase_calls
+        else:
+            assert prof.phase_calls["snapshot"] == 8
+            assert prof.phase_calls["apply"] == 8
         assert set(prof.phase_calls) <= set(PHASES)
 
     @pytest.mark.parametrize("compiled", [False, True])
@@ -233,13 +278,64 @@ class TestSchedulerIntegration:
         assert prof.steps == 8
         assert "stop-when" not in prof.phase_calls
 
-    def test_injections_booked_separately(self):
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_injections_booked_separately(self, compiled):
         prof = StepProfiler()
-        Scheduler(RoundRobinPolicy(), instrument=prof).run(
+        Scheduler(RoundRobinPolicy(), instrument=prof, compiled=compiled).run(
             two_task_machine(), 4, injections=[Injection(2, IN)]
         )
         assert prof.injections == 1
         assert prof.phase_calls["injection"] == 1
+
+    @pytest.mark.parametrize(
+        "compiled, expected",
+        [
+            # Per step: stop-when, two observer hooks, the policy (its
+            # snapshot read booked apart) and the apply.  Each clock
+            # reading is one tick, and each gap between wrapped calls
+            # is one tick of unattributed.
+            (False, {"observe": 18.0, "stop-when": 8.0, "snapshot": 8.0,
+                     "policy": 16.0, "apply": 8.0, "unattributed": 43.0}),
+            # The policy twin reads the snapshot tables itself, and every
+            # step misses the transition table.
+            (True, {"compile": 1.0, "intern": 9.0, "observe": 18.0,
+                    "stop-when": 8.0, "policy": 8.0, "unattributed": 44.0}),
+        ],
+    )
+    def test_phases_sum_to_the_loop_wall(self, compiled, expected):
+        readings = []
+        prof = StepProfiler(clock=scripted_clock(1.0, readings))
+        Scheduler(
+            RoundRobinPolicy(),
+            instrument=(prof, Observer()),
+            compiled=compiled,
+        ).run(two_task_machine(), 8, stop_when=lambda state, step: False)
+        assert prof.phase_wall_s == expected
+        # compile is booked before the run opens; every other phase lies
+        # inside the run, from its start reading to the last reading.
+        run_start = readings[2] if compiled else readings[0]
+        compile_s = prof.phase_wall_s.get("compile", 0.0)
+        assert prof.wall_s - compile_s == readings[-1] - run_start
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_unattributed_never_negative(self, compiled):
+        prof = StepProfiler(clock=scripted_clock(0.5))
+        residuals = []
+        for steps in (3, 8, 5):
+            before = prof.phase_wall_s.get("unattributed", 0.0)
+            Scheduler(
+                RoundRobinPolicy(),
+                instrument=(prof, Observer()),
+                compiled=compiled,
+            ).run(
+                two_task_machine(),
+                steps,
+                injections=[Injection(1, IN)],
+                stop_when=lambda state, step: False,
+            )
+            residuals.append(prof.phase_wall_s["unattributed"] - before)
+        assert prof.phase_calls["unattributed"] == prof.runs == 3
+        assert all(r >= 0 for r in residuals), residuals
 
     def test_default_profiler_seam(self):
         prof = StepProfiler()
@@ -275,6 +371,80 @@ def consensus_spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def chaos_spec(**overrides):
+    """Consensus over lossy channels: the run drives a Composition."""
+    base = dict(
+        proposals={0: 1, 1: 0, 2: 1},
+        crashes={},
+        seed=3,
+        max_steps=2_000,
+        fault_plan=FaultPlan.uniform(drop_p=0.15),
+    )
+    base.update(overrides)
+    return consensus_spec(**base)
+
+
+def timed_spec(**overrides):
+    """A timed heartbeat detector: one flat automaton, no Composition."""
+    base = dict(
+        detector="heartbeat",
+        locations=LOCS,
+        problem="timed-detector",
+        crashes={2: 160},
+        timed={"delay": {"jitter": 2}},
+        seed=5,
+        max_steps=600,
+    )
+    base.update(overrides)
+    return ExperimentSpec(**base)
+
+
+class TestProfiledWorkEquality:
+    """A profiled run does exactly the unprofiled run's work: the same
+    ``enabled_by_task`` calls and the same cache activity."""
+
+    @staticmethod
+    def measure(calls, spec):
+        # Fresh automata on each side: no compiled tables carry over.
+        clear_spec_cache()
+        calls.clear()
+        before = cache_stats_snapshot()
+        result = run_spec(spec)
+        return result, dict(calls), cache_stats_delta(before)
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    @pytest.mark.parametrize(
+        "make_spec", [chaos_spec, timed_spec], ids=["chaos", "timed"]
+    )
+    def test_same_snapshot_calls_and_cache_deltas(
+        self, snapshot_calls, make_spec, compiled
+    ):
+        plain, plain_calls, plain_cache = self.measure(
+            snapshot_calls, make_spec(compiled=compiled)
+        )
+        profiled, profiled_calls, profiled_cache = self.measure(
+            snapshot_calls, make_spec(compiled=compiled, profile=True)
+        )
+        assert profiled.steps == plain.steps
+        assert profiled.profile["counters"]["steps"] == plain.steps
+        assert sum(plain_calls.values()) > 0
+        assert profiled_calls == plain_calls
+        assert profiled_cache == plain_cache
+
+    def test_policy_that_never_snapshots_books_no_snapshot(
+        self, snapshot_calls
+    ):
+        policy = MaskedRoundRobinPolicy(lambda task: True)
+        Scheduler(policy).run(two_task_machine(), 8)
+        assert not snapshot_calls
+        prof = StepProfiler()
+        Scheduler(policy, instrument=prof).run(two_task_machine(), 8)
+        assert prof.steps == 8
+        assert prof.phase_calls["policy"] == 8
+        assert "snapshot" not in prof.phase_calls
+        assert not snapshot_calls
 
 
 class TestSpecProfile:
