@@ -40,16 +40,12 @@ from repro.runner import (
 # -- One-run experiment helpers (repro.analysis) ----------------------------
 from repro.analysis.checkers import ConsensusRunResult, run_consensus_experiment
 
-# -- Result caching and sharded sweeps (repro.cache) ------------------------
+# -- Result caching (repro.cache) --------------------------------------------
 from repro.cache import (
     CACHE_SCHEMA,
     ENGINE_REVISION,
     ResultStore,
-    SHARD_SCHEMA,
-    ShardManifest,
     cacheable,
-    run_sharded,
-    shard_manifest,
 )
 
 # -- The compiled simulation core (repro.compiled) --------------------------
@@ -156,7 +152,6 @@ from repro.obs.ledger import (
     RunLedger,
     series_digest,
     spec_digest,
-    spec_fingerprint,
     validate_ledger_entry,
 )
 from repro.obs.metrics import MetricsRegistry
@@ -242,15 +237,11 @@ __all__ = [
     # one-run helpers
     "ConsensusRunResult",
     "run_consensus_experiment",
-    # result cache / sharded sweeps
+    # result cache
     "CACHE_SCHEMA",
     "ENGINE_REVISION",
     "ResultStore",
-    "SHARD_SCHEMA",
-    "ShardManifest",
     "cacheable",
-    "run_sharded",
-    "shard_manifest",
     # compiled core
     "CompiledAutomaton",
     "CompiledComposition",
@@ -351,7 +342,6 @@ __all__ = [
     "reset_cache_stats",
     "series_digest",
     "spec_digest",
-    "spec_fingerprint",
     "validate_bench_artifact",
     "validate_ledger_entry",
     "validate_profile",

@@ -1,20 +1,13 @@
-"""Content-addressed result caching and sharded sweep execution.
-
-Two layers over the experiment engine's determinism contract:
+"""Content-addressed result caching.
 
 :mod:`repro.cache.store`
     :class:`ResultStore` — an on-disk store of pickled
-    ``ExperimentResult`` objects keyed by the SHA-256 of the spec
-    fingerprint (the run ledger's key), with integrity digests, atomic
-    writes, and automatic version/engine invalidation.  Wired into the
-    engine as ``BatchRunner(cache=...)``: a batch partitions into
-    hits/misses, executes only the misses, and reassembles in spec
-    order.
-:mod:`repro.cache.shard`
-    :func:`shard_manifest` / :func:`run_sharded` — deterministic shard
-    partitions of a sweep and worker processes that each pull a shard
-    and share one store, the single-machine form of the multi-machine
-    work-queue backend.
+    ``ExperimentResult`` objects keyed by the SHA-256 of the spec's run
+    identity (``spec.meta()``, the run ledger's key), with integrity
+    digests, atomic writes, and automatic version/engine invalidation.
+    Wired into the engine as ``BatchRunner(cache=...)``: a batch
+    partitions into hits/misses, executes only the misses, and
+    reassembles in spec order.
 
 The byte-identity contract's third leg lives here: cached-vs-recomputed
 results are byte-identical (``tests/cache/``, CI job ``cache-smoke``),
@@ -22,12 +15,6 @@ alongside the existing serial-vs-parallel and interpreted-vs-compiled
 legs.  See ``docs/CACHE.md``.
 """
 
-from repro.cache.shard import (
-    SHARD_SCHEMA,
-    ShardManifest,
-    run_sharded,
-    shard_manifest,
-)
 from repro.cache.store import (
     CACHE_SCHEMA,
     ENGINE_REVISION,
@@ -39,9 +26,5 @@ __all__ = [
     "CACHE_SCHEMA",
     "ENGINE_REVISION",
     "ResultStore",
-    "SHARD_SCHEMA",
-    "ShardManifest",
     "cacheable",
-    "run_sharded",
-    "shard_manifest",
 ]

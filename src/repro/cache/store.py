@@ -5,8 +5,9 @@ is a pure function of its :class:`~repro.runner.spec.ExperimentSpec`
 (the engine's determinism contract).  That makes results cacheable by
 *content address*: the store keys each
 :class:`~repro.runner.spec.ExperimentResult` by
-``sha256(canonical_json(spec_fingerprint(spec)))`` — exactly the key the
-run ledger (:mod:`repro.obs.ledger`) already records — so a re-run, a
+``sha256(canonical_json(spec.meta()))`` — the spec's derived run
+identity, exactly the key the run ledger (:mod:`repro.obs.ledger`)
+already records — so a re-run, a
 CI sweep, or another worker machine sharing the store directory only
 executes cells it has never seen.
 
@@ -20,7 +21,7 @@ Each object file is the pickle of one *entry* dict::
     {"schema": "repro.cache/1",
      "key": "sha256:<hex>",          # digest of the identity below
      "identity": {...},              # the canonical JSON-ready preimage
-     "repro_version": "1.6.0",
+     "repro_version": "1.9.0",
      "engine": "step-loop/1",
      "payload_sha256": "sha256:<hex>",  # digest of the payload bytes
      "payload": b"..."}              # the pickled result, verbatim
@@ -33,9 +34,10 @@ shared filesystem — can populate one store concurrently.
 
 Invalidation is spec-level and automatic:
 
-* the key *is* the spec fingerprint, so changing any behavior-determining
-  field (seed, detector kwargs, fault plan, step budget, ...) is a new
-  cell;
+* the key *is* the spec's run identity, derived from every field that is
+  not instrumentation or the engine flag, so changing any
+  behavior-determining field (seed, detector kwargs, fault plan, step
+  budget, ...) is a new cell;
 * entries record the library version and the engine revision that
   produced them; a store read by a different ``repro_version`` (or after
   an intentional :data:`ENGINE_REVISION` bump) treats the stale entries
@@ -49,6 +51,7 @@ memos.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import os
 import pickle
@@ -56,8 +59,9 @@ import tempfile
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
-from repro.obs.ledger import digest, spec_digest, spec_fingerprint
+from repro.obs.ledger import digest, spec_digest
 from repro.obs.prof import CacheCounter, cache_counter
+from repro.runner.spec import INSTRUMENTATION
 
 #: The store entry schema identifier.
 CACHE_SCHEMA = "repro.cache/1"
@@ -76,18 +80,20 @@ STORE_COUNTER = "store.results"
 def cacheable(spec: Any) -> bool:
     """Whether ``spec``'s result may be served from / stored in a cache.
 
-    Spec fingerprints deliberately exclude instrumentation flags (tracing
-    and profiling never change executions), so an instrumented spec and
-    its plain twin share a key.  Serving a plain cached result to a run
-    that asked for a trace/profile would silently drop the requested
-    observability — instrumented specs therefore bypass the cache in
-    both directions and always execute.
+    Instrumentation fields are in no key (tracing and profiling never
+    change executions), so an instrumented spec and its plain twin share
+    a key.  Serving a plain cached result to a run that asked for a
+    trace/profile would silently drop the requested observability —
+    instrumented specs therefore bypass the cache in both directions and
+    always execute.  So do specs holding an opaque value (an instance, a
+    lambda, a ``partial``): its key names it by ``id``, which another
+    process may reuse for something else.
     """
-    return not (
-        getattr(spec, "instrument", False)
-        or getattr(spec, "profile", False)
-        or getattr(spec, "record_steps", False)
-    )
+    return not any(
+        getattr(spec, f.name)
+        for f in dataclasses.fields(spec)
+        if f.metadata.get("key") == INSTRUMENTATION
+    ) and not spec.opaque_values()
 
 
 class ResultStore:
@@ -138,7 +144,7 @@ class ResultStore:
         )
 
     def key_for(self, spec: Any) -> str:
-        """The content address of one spec: ``digest(spec_fingerprint(spec))``."""
+        """The content address of one spec: ``digest(spec.meta())``."""
         return spec_digest(spec)
 
     # -- Generic object layer --------------------------------------------
@@ -147,7 +153,7 @@ class ResultStore:
         """Store ``payload`` under ``digest(identity)``; returns the key.
 
         ``identity`` must be the canonical JSON-ready preimage of the
-        key (a spec fingerprint, a bench identity, ...).  The write is
+        key (a spec's ``meta()``, a bench identity, ...).  The write is
         atomic: concurrent writers of the same key are safe, last writer
         wins with identical content by construction.
         """
@@ -209,7 +215,7 @@ class ResultStore:
 
     def put(self, spec: Any, result: Any) -> str:
         """Store one executed spec's result; returns its key."""
-        return self.put_object(spec_fingerprint(spec), result)
+        return self.put_object(spec.meta(), result)
 
     def get(self, spec: Any) -> Optional[Any]:
         """The cached :class:`ExperimentResult` for ``spec``, or ``None``."""

@@ -9,16 +9,15 @@ through its own policy RNG, injections and checkers, so results are
 byte-identical to ``spec.run()`` on the interpreted path; only the
 table-construction cost is amortized.
 
-Reuse is keyed by the *spec fingerprint*: the JSON identity of
-everything that determines the built system — problem, detector (and
-kwargs), algorithm (and kwargs), locations, proposals, and the resolved
-fault plan.  Run-varying knobs (seed, policy, max_steps, crash pattern,
-instrumentation) are deliberately excluded, so a seed sweep or a crash
-sweep over one system family hits the same compiled tables.  One
-subtlety is self-correcting: an *unbound* fault plan resolves through
-``derive_seed(spec.seed, "fault-plan")``, and the resolved summary
-(which carries its seed) is part of the fingerprint — so chaos sweeps
-key per-seed automatically, as they must: different bound plans build
+Reuse is keyed by the *spec fingerprint*: the canonical JSON of
+:meth:`~repro.runner.spec.ExperimentSpec.system_key`, the spec's derived
+identity without its run-only fields.  Seed, policy, step budget, crash
+pattern, ``f``, ``min_live_outputs`` and the label vary between runs of
+one built system, and instrumentation and the engine flag are in no key,
+so a seed sweep or a crash sweep over one system family hits the same
+compiled tables.  The key encodes the *bound* fault plan: an unbound plan
+resolves through ``derive_seed(spec.seed, "fault-plan")``, so chaos
+sweeps key per seed, as they must — different bound plans build
 different channel automata.
 
 The fingerprint cache is a small LRU (:data:`SPEC_CACHE_CAP` entries);
@@ -31,13 +30,12 @@ cache of the transition relation).
 from __future__ import annotations
 
 import dataclasses
-import inspect
-import json
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Tuple
 
 from repro.compiled.tables import CompiledAutomaton, compile_automaton
+from repro.obs.ledger import canonical_json
 from repro.obs.prof import cache_counter
 
 #: Schema tag of :class:`CompiledSystemMeta` (and the fingerprint payload).
@@ -54,24 +52,6 @@ _SPEC_CACHE: "OrderedDict[str, CompiledSystem]" = OrderedDict()
 _C_SPEC = cache_counter("compiled.spec")
 
 
-def _identity(obj: Any) -> Any:
-    """A JSON-able identity for a fingerprint component.
-
-    Plain values pass through; classes and module-level factories
-    fingerprint by qualified name (stable across processes); opaque
-    instances fall back to type + object id — correct (runs sharing the
-    instance share tables) but process-local, which is exactly the reuse
-    an in-memory cache can promise for them.
-    """
-    if obj is None or isinstance(obj, (str, int, float, bool)):
-        return obj
-    if isinstance(obj, type):
-        return f"{obj.__module__}.{obj.__qualname__}"
-    if inspect.isroutine(obj):
-        return f"{getattr(obj, '__module__', '?')}.{obj.__qualname__}"
-    return f"{type(obj).__module__}.{type(obj).__qualname__}@{id(obj):x}"
-
-
 def spec_fingerprint(spec) -> str:
     """The canonical JSON identity of the system a spec builds.
 
@@ -80,28 +60,7 @@ def spec_fingerprint(spec) -> str:
     tables); see the module docstring for what is included and why
     seeds/crashes are not.
     """
-    plan = spec.resolve_fault_plan()
-    payload = {
-        "schema": SCHEMA,
-        "problem": spec.problem,
-        "detector": _identity(spec.detector),
-        "detector_kwargs": {
-            str(k): _identity(v)
-            for k, v in sorted(spec.detector_kwargs.items())
-        },
-        "algorithm": _identity(spec.algorithm),
-        "algorithm_kwargs": {
-            str(k): _identity(v)
-            for k, v in sorted(spec.algorithm_kwargs.items())
-        },
-        "locations": list(spec.locations),
-        "proposals": {
-            str(k): _identity(v)
-            for k, v in sorted(spec.effective_proposals().items())
-        },
-        "fault_plan": plan.summary() if plan is not None else None,
-    }
-    return json.dumps(payload, sort_keys=True, default=str)
+    return canonical_json({"schema": SCHEMA, **spec.system_key()})
 
 
 @dataclass(frozen=True)

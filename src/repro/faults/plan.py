@@ -24,7 +24,7 @@ seed sweep automatically varies the injected faults per run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterable, Mapping, Optional, Tuple, Union
+from typing import Any, Iterable, Mapping, Optional, Tuple
 
 from repro.runner.seeds import derive_seed
 
@@ -89,19 +89,6 @@ class ChannelFaults:
             and not self.reorder_sends
         )
 
-    def summary(self) -> Dict[str, Any]:
-        """A JSON-ready description (only the non-default knobs)."""
-        out: Dict[str, Any] = {}
-        for name in ("drop_p", "duplicate_p", "reorder_p", "delay_p"):
-            if getattr(self, name):
-                out[name] = getattr(self, name)
-        if self.max_delay:
-            out["max_delay"] = self.max_delay
-        for name in ("drop_sends", "duplicate_sends", "reorder_sends"):
-            if getattr(self, name):
-                out[name] = list(getattr(self, name))
-        return out
-
 
 @dataclass(frozen=True)
 class CrashRule:
@@ -158,15 +145,6 @@ class CrashRule:
                 raise ValueError(
                     '"on-send-count" needs location= and param='
                 )
-
-    def summary(self) -> Dict[str, Any]:
-        """A JSON-ready description of this rule."""
-        out: Dict[str, Any] = {"trigger": self.trigger, "delay": self.delay}
-        if self.location is not None:
-            out["location"] = self.location
-        if self.param is not None:
-            out["param"] = self.param
-        return out
 
 
 ChannelKey = Tuple[int, int]
@@ -296,15 +274,3 @@ class FaultPlan:
         holds, so an inert plan is *provably* identical to no plan.
         """
         return self.channels_inert and not self.crash_rules
-
-    def summary(self) -> Dict[str, Any]:
-        """A JSON-ready identity for run reports and artifacts."""
-        return {
-            "seed": self.seed,
-            "default": self.default.summary(),
-            "per_channel": {
-                f"{s}->{d}": faults.summary()
-                for (s, d), faults in self.per_channel
-            },
-            "crash_rules": [r.summary() for r in self.crash_rules],
-        }

@@ -9,14 +9,12 @@ objects the parallel engine ships to workers.
 Layer 2 (:mod:`repro.lint.rules` / :mod:`repro.lint.engine`) lints the
 source tree for the determinism conventions the reproducibility claims
 rest on: no wall-clock reads, no unseeded randomness, no unordered
-iteration into serialization sinks, no deprecated instrumentation
-spellings, no mutable defaults in automaton constructors.
+iteration into serialization sinks, no mutable defaults in automaton
+constructors.
 
-Layer 3 (:mod:`repro.lint.dataflow`) is flow-aware: fingerprint
-completeness over the spec-identity dataclasses (REPRO006), write
-hazards reachable from fork-pool worker entry points (REPRO007),
-seed-derivation discipline (REPRO008), and registry/contract/facade
-exhaustiveness (REPRO009).
+Layer 3 (:mod:`repro.lint.dataflow`) is flow-aware: write hazards
+reachable from fork-pool worker entry points (REPRO007) and
+seed-derivation discipline (REPRO008).
 
 Run it: ``python -m repro.lint [paths] [--contract]``.  Rule catalog and
 workflow: ``docs/LINT.md``.
@@ -36,11 +34,6 @@ from repro.lint.contract import (
     run_contract_checks,
 )
 from repro.lint.dataflow import (
-    FINGERPRINT_EXEMPT,
-    FieldPartition,
-    ProjectIndex,
-    check_registry_exhaustiveness,
-    fingerprint_partition,
     worker_entry_points,
     worker_state_writes,
 )
@@ -58,18 +51,13 @@ __all__ = [
     "ContractReport",
     "ContractSubject",
     "DEFAULT_BASELINE",
-    "FINGERPRINT_EXEMPT",
-    "FieldPartition",
     "Finding",
     "LintResult",
-    "ProjectIndex",
     "RULES_BY_CODE",
     "check_automaton_contract",
     "check_picklable",
-    "check_registry_exhaustiveness",
     "collect_files",
     "default_contract_subjects",
-    "fingerprint_partition",
     "lint_file",
     "lint_paths",
     "load_baseline",

@@ -10,9 +10,9 @@ Usage::
 
 * With no paths, lints ``src``, ``benchmarks`` and ``examples`` (those
   that exist under the working directory).
-* The AST layer covers the per-file rules (REPRO001-REPRO005,
-  REPRO007-REPRO008) plus the project-wide flow rules
-  (REPRO006, REPRO009).
+* The AST layer covers the syntactic rules (REPRO001-REPRO003,
+  REPRO005) and the flow rules (REPRO007, REPRO008).  A ``--select``
+  or ``--ignore`` code that names no rule is a usage error.
 * ``--contract`` additionally runs the layer-1 semantic automaton
   checks (REPROC01-REPROC06) over every registered detector, the core
   system automata, the algorithm processes, and the spec objects.
@@ -124,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro.lint",
         description=(
             "Static analysis for the repro harness: determinism "
-            "invariants (REPRO001-REPRO005) and the I/O-automaton "
+            "invariants (REPRO001-REPRO008) and the I/O-automaton "
             "contract (REPROC01-REPROC06)."
         ),
     )

@@ -1,294 +1,25 @@
-"""Layer 3: project-wide flow analyses behind REPRO006-REPRO009.
+"""Layer 3: per-module flow analyses behind REPRO007 and REPRO008.
 
-The AST rules (layer 2) judge one module at a time; the contract checks
-(layer 1) judge live automata.  This module holds the machinery for the
-*flow-aware* rules that need to see several modules at once, or the
-live registries, to say anything useful:
+The AST rules (layer 2) match one syntactic shape at a time; the
+contract checks (layer 1) judge live automata.  This module holds the
+machinery for the *flow-aware* rules, which follow values and calls
+inside one module:
 
-* :class:`ProjectIndex` — every parsed module of one lint run, with
-  classes and module-level functions indexed by name;
-* :func:`fingerprint_partition` — the static field-consumption analysis
-  behind REPRO006: which dataclass fields of the spec-identity types
-  (``ExperimentSpec``, ``TimedParams``, ``FaultPlan``, ...) are
-  transitively consumed by their fingerprint sinks (``meta()`` /
-  ``summary()`` / the run ledger's ``spec_fingerprint``), and which are
-  exempted on purpose;
 * :func:`worker_entry_points` / :func:`worker_state_writes` — the
   per-module call-graph analysis behind REPRO007: functions handed to a
   fork-pool fan-out (``parallel_map``, ``pool.imap``) and the writes to
   module-level state reachable from them;
-* :func:`check_registry_exhaustiveness` — the live registry sweep
-  behind REPRO009: every registered detector / timed implementation
-  must be covered by the contract layer's default subjects and exported
-  by the ``repro.api`` facade.
+* :func:`tainted_seed_expr` / :func:`single_assignments` — the seed
+  taint behind REPRO008.
 
-Everything here is import-light and purely syntactic except the
-registry sweep, which deliberately asks the *live* registries (a static
-parse cannot see what ``iter_registered_automata`` yields).
+Everything here is import-light and purely syntactic.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import (
-    Any,
-    Dict,
-    FrozenSet,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
-
-from repro.lint.findings import Finding
-
-# ---------------------------------------------------------------------------
-# The project index
-# ---------------------------------------------------------------------------
-
-
-class ProjectIndex:
-    """Every parsed module of one lint run, indexed for the flow rules.
-
-    ``modules`` are ``ModuleSource``-shaped objects (``path``/``text``/
-    ``tree``); the index does not import :mod:`repro.lint.rules` to stay
-    cycle-free.
-    """
-
-    def __init__(self, modules: Sequence[Any]):
-        self.modules: List[Any] = list(modules)
-        self.by_path: Dict[str, Any] = {m.path: m for m in self.modules}
-        #: class name -> [(module, ClassDef)] over module-level classes.
-        self.classes: Dict[str, List[Tuple[Any, ast.ClassDef]]] = {}
-        #: function name -> [(module, FunctionDef)] over module-level defs.
-        self.functions: Dict[str, List[Tuple[Any, ast.FunctionDef]]] = {}
-        for module in self.modules:
-            for node in module.tree.body:
-                if isinstance(node, ast.ClassDef):
-                    self.classes.setdefault(node.name, []).append(
-                        (module, node)
-                    )
-                elif isinstance(
-                    node, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    self.functions.setdefault(node.name, []).append(
-                        (module, node)
-                    )
-
-    def has_path_suffix(self, *suffixes: str) -> bool:
-        """Whether any indexed module path ends with one of ``suffixes``."""
-        for module in self.modules:
-            path = module.path.replace("\\", "/")
-            if any(path.endswith(suffix) for suffix in suffixes):
-                return True
-        return False
-
-
-# ---------------------------------------------------------------------------
-# REPRO006 — fingerprint completeness
-# ---------------------------------------------------------------------------
-
-#: Spec-identity class -> the methods whose transitive attribute reads
-#: count as "this field reaches the fingerprint".
-FINGERPRINT_SINK_METHODS: Dict[str, Tuple[str, ...]] = {
-    "ExperimentSpec": ("meta",),
-    "TimedParams": ("summary",),
-    "DelayModel": ("summary",),
-    "FaultPlan": ("summary",),
-    "ChannelFaults": ("summary",),
-    "CrashRule": ("summary",),
-}
-
-#: ``(path suffix, function name, class name)`` module-level sinks: the
-#: function's first parameter is treated as a receiver of the class.
-#: The path suffix matters — ``repro/compiled/system.py`` defines its
-#: own (narrower) ``spec_fingerprint`` for table sharing, which must
-#: *not* count as cache-identity consumption.
-FINGERPRINT_SINK_FUNCTIONS: Tuple[Tuple[str, str, str], ...] = (
-    ("obs/ledger.py", "spec_fingerprint", "ExperimentSpec"),
-)
-
-#: The explicit in-source exemption table: fields that are *decided* to
-#: stay out of the fingerprint.  ``instrument``/``profile``/
-#: ``record_steps`` only attach observers (byte-identical runs either
-#: way) and ``compiled`` only selects the engine (CI proves both
-#: engines emit identical series), so none of them may change a result
-#: cache key.  Adding a field to a fingerprinted class without either
-#: consuming it in a sink or listing it here is a REPRO006 finding —
-#: a new field must make a fingerprint decision explicitly.
-FINGERPRINT_EXEMPT: Dict[str, FrozenSet[str]] = {
-    "ExperimentSpec": frozenset(
-        {"instrument", "profile", "record_steps", "compiled"}
-    ),
-}
-
-
-@dataclass
-class FieldPartition:
-    """The REPRO006 verdict for one spec-identity class definition."""
-
-    class_name: str
-    module: Any
-    classdef: ast.ClassDef
-    #: field name -> its AnnAssign node, in declaration order.
-    fields: Dict[str, ast.AnnAssign]
-    #: fields transitively consumed by the fingerprint sinks.
-    consumed: Set[str]
-    #: fields exempted by :data:`FINGERPRINT_EXEMPT`.
-    exempt: FrozenSet[str]
-
-    @property
-    def undecided(self) -> List[str]:
-        """Fields with no fingerprint decision (the REPRO006 violation)."""
-        return [
-            name
-            for name in self.fields
-            if name not in self.consumed and name not in self.exempt
-        ]
-
-    @property
-    def stale_exemptions(self) -> List[str]:
-        """Exempted fields that *are* consumed (the exemption lies)."""
-        return sorted(self.exempt & self.consumed)
-
-    @property
-    def unknown_exemptions(self) -> List[str]:
-        """Exempted names that are not fields of the class at all."""
-        return sorted(self.exempt - set(self.fields))
-
-
-def _annotation_is_classvar(annotation: ast.expr) -> bool:
-    for node in ast.walk(annotation):
-        if isinstance(node, ast.Name) and node.id == "ClassVar":
-            return True
-        if isinstance(node, ast.Attribute) and node.attr == "ClassVar":
-            return True
-    return False
-
-
-def dataclass_field_nodes(classdef: ast.ClassDef) -> Dict[str, ast.AnnAssign]:
-    """The class body's annotated fields, in declaration order."""
-    out: Dict[str, ast.AnnAssign] = {}
-    for stmt in classdef.body:
-        if not isinstance(stmt, ast.AnnAssign):
-            continue
-        if not isinstance(stmt.target, ast.Name):
-            continue
-        if _annotation_is_classvar(stmt.annotation):
-            continue
-        out[stmt.target.id] = stmt
-    return out
-
-
-def _receiver_reads(
-    func: ast.AST,
-    receiver: str,
-    fields: Dict[str, ast.AnnAssign],
-    methods: Dict[str, ast.AST],
-) -> Tuple[Set[str], Set[str]]:
-    """``(fields read, methods called)`` on ``receiver`` inside ``func``.
-
-    A ``getattr(receiver, ...)`` anywhere in the body switches the
-    function to dynamic mode: every string constant naming a field
-    counts as a read (the ``ChannelFaults.summary`` idiom — looping
-    ``getattr(self, name)`` over a tuple of field-name literals).
-    """
-    consumed: Set[str] = set()
-    called: Set[str] = set()
-    dynamic = False
-    for node in ast.walk(func):
-        if (
-            isinstance(node, ast.Attribute)
-            and isinstance(node.value, ast.Name)
-            and node.value.id == receiver
-        ):
-            if node.attr in fields:
-                consumed.add(node.attr)
-            elif node.attr in methods:
-                called.add(node.attr)
-        elif isinstance(node, ast.Call):
-            callee = node.func
-            if (
-                isinstance(callee, ast.Name)
-                and callee.id == "getattr"
-                and node.args
-                and isinstance(node.args[0], ast.Name)
-                and node.args[0].id == receiver
-            ):
-                dynamic = True
-    if dynamic:
-        for node in ast.walk(func):
-            if (
-                isinstance(node, ast.Constant)
-                and isinstance(node.value, str)
-                and node.value in fields
-            ):
-                consumed.add(node.value)
-    return consumed, called
-
-
-def fingerprint_partition(project: ProjectIndex) -> List[FieldPartition]:
-    """The REPRO006 analysis over every spec-identity class in ``project``.
-
-    For each class named in :data:`FINGERPRINT_SINK_METHODS` that the
-    project defines, computes the transitive closure of attribute reads
-    starting from the sink methods (plus the path-qualified module-level
-    sinks of :data:`FINGERPRINT_SINK_FUNCTIONS`) and partitions the
-    class's dataclass fields into consumed / exempt / undecided.
-    """
-    partitions: List[FieldPartition] = []
-    for class_name, sink_methods in sorted(FINGERPRINT_SINK_METHODS.items()):
-        for module, classdef in project.classes.get(class_name, ()):
-            fields = dataclass_field_nodes(classdef)
-            methods: Dict[str, ast.AST] = {
-                stmt.name: stmt
-                for stmt in classdef.body
-                if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-            }
-            consumed: Set[str] = set()
-            queue: List[str] = list(sink_methods)
-            for suffix, fn_name, fn_class in FINGERPRINT_SINK_FUNCTIONS:
-                if fn_class != class_name:
-                    continue
-                for fn_module, fn_def in project.functions.get(fn_name, ()):
-                    path = fn_module.path.replace("\\", "/")
-                    if not path.endswith(suffix):
-                        continue
-                    if not fn_def.args.args:
-                        continue
-                    receiver = fn_def.args.args[0].arg
-                    got, called = _receiver_reads(
-                        fn_def, receiver, fields, methods
-                    )
-                    consumed |= got
-                    queue.extend(sorted(called))
-            visited: Set[str] = set()
-            while queue:
-                name = queue.pop()
-                if name in visited:
-                    continue
-                visited.add(name)
-                method = methods.get(name)
-                if method is None:
-                    continue
-                got, called = _receiver_reads(method, "self", fields, methods)
-                consumed |= got
-                queue.extend(sorted(called))
-            partitions.append(
-                FieldPartition(
-                    class_name=class_name,
-                    module=module,
-                    classdef=classdef,
-                    fields=fields,
-                    consumed=consumed & set(fields),
-                    exempt=FINGERPRINT_EXEMPT.get(class_name, frozenset()),
-                )
-            )
-    return partitions
-
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 # ---------------------------------------------------------------------------
 # REPRO007 — cross-process worker race hazards
@@ -649,123 +380,14 @@ def single_assignments(scope: ast.AST) -> Dict[str, ast.expr]:
     }
 
 
-# ---------------------------------------------------------------------------
-# REPRO009 — registry exhaustiveness
-# ---------------------------------------------------------------------------
-
-
-def _live_detector_items() -> List[Tuple[str, type]]:
-    from repro.detectors.registry import iter_registered_automata
-
-    return [
-        (name, type(afd))
-        for name, afd, _automaton in iter_registered_automata()
-    ]
-
-
-def _live_timed_items() -> List[Tuple[str, type]]:
-    from repro.timed.registry import IMPLEMENTATIONS
-
-    return sorted(IMPLEMENTATIONS.items())
-
-
-def _live_subject_names() -> Set[str]:
-    from repro.lint.contract import default_contract_subjects
-
-    return {subject.name for subject in default_contract_subjects()}
-
-
-def _live_facade_names() -> Set[str]:
-    import repro.api
-
-    return set(repro.api.__all__)
-
-
-def _registry_finding(cls: type, code: str, message: str) -> Finding:
-    from repro.lint.contract import _source_anchor
-
-    path, line = _source_anchor(cls)
-    return Finding(path=path, line=line, col=1, code=code, message=message)
-
-
-def check_registry_exhaustiveness(
-    code: str = "REPRO009",
-    detector_items: Optional[Iterable[Tuple[str, type]]] = None,
-    timed_items: Optional[Iterable[Tuple[str, type]]] = None,
-    subject_names: Optional[Set[str]] = None,
-    facade_names: Optional[Set[str]] = None,
-) -> List[Finding]:
-    """Every registered automaton must be contract-checked and exported.
-
-    ``None`` arguments pull the live registries / subjects / facade, so
-    the production rule needs no configuration while tests can inject
-    synthetic gaps.
-    """
-    if detector_items is None:
-        detector_items = _live_detector_items()
-    if timed_items is None:
-        timed_items = _live_timed_items()
-    if subject_names is None:
-        subject_names = _live_subject_names()
-    if facade_names is None:
-        facade_names = _live_facade_names()
-
-    findings: List[Finding] = []
-    seen_classes: Set[type] = set()
-
-    def check_family(
-        items: Iterable[Tuple[str, type]], prefix: str, registry: str
-    ) -> None:
-        for name, cls in items:
-            for subject in (f"{prefix}:{name}", f"compiled:{prefix}:{name}"):
-                if subject not in subject_names:
-                    findings.append(
-                        _registry_finding(
-                            cls,
-                            code,
-                            f"registered {registry} {name!r} has no "
-                            f"{subject!r} entry in "
-                            "default_contract_subjects(); every registry "
-                            "entry must be contract-checked on both "
-                            "engines",
-                        )
-                    )
-            if cls not in seen_classes:
-                seen_classes.add(cls)
-                if cls.__name__ not in facade_names:
-                    findings.append(
-                        _registry_finding(
-                            cls,
-                            code,
-                            f"registered {registry} class "
-                            f"{cls.__name__} is not exported by the "
-                            "repro.api facade; registry entries are "
-                            "public surface and belong in "
-                            "repro/api.py __all__",
-                        )
-                    )
-
-    check_family(detector_items, "detector", "detector")
-    check_family(timed_items, "timed", "timed implementation")
-    return sorted(findings)
-
-
 __all__ = [
     "ALLOWED_SEAM_FACTORIES",
     "FAN_OUT_FIRST_ARG_ATTRS",
     "FAN_OUT_FIRST_ARG_NAMES",
-    "FINGERPRINT_EXEMPT",
-    "FINGERPRINT_SINK_FUNCTIONS",
-    "FINGERPRINT_SINK_METHODS",
-    "FieldPartition",
     "MUTATING_METHODS",
-    "ProjectIndex",
     "SEED_DERIVATION_ROOTS",
     "WORKER_STATE_ALLOWLIST",
     "WorkerWrite",
-    "check_registry_exhaustiveness",
-    "dataclass_field_nodes",
-    "fingerprint_partition",
     "single_assignments",
     "tainted_seed_expr",
     "worker_entry_points",

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Optional, Sequence, Set, Tuple
 
 import ast
 
@@ -50,14 +50,19 @@ def select_rules(
 ) -> List[Rule]:
     """The rule instances matching ``--select`` / ``--ignore``.
 
-    Raises :class:`ValueError` on a code that names no AST rule (contract
-    codes ``REPROC*`` are filtered at the finding level instead, so they
-    are accepted silently here).
+    Raises :class:`ValueError` on a code that names no rule: a typo (or
+    a retired code) would otherwise select nothing and pass.  Contract
+    codes ``REPROC*`` and the parse-error code are filtered at the
+    finding level instead, so they are accepted here.
     """
     selected = set(select) if select else None
     ignored = set(ignore) if ignore else set()
-    for code in (selected or set()) | ignored:
-        if not code.startswith("REPRO"):
+    for code in sorted((selected or set()) | ignored):
+        if not (
+            code in RULES_BY_CODE
+            or code == PARSE_ERROR_CODE
+            or code.startswith("REPROC")
+        ):
             raise ValueError(f"unknown lint code {code!r}")
     rules = []
     for rule in ALL_RULES:
@@ -103,11 +108,7 @@ def _load_module(
 def lint_file(
     path: str, rules: Sequence[Rule], display_path: Optional[str] = None
 ) -> Tuple[List[Finding], int]:
-    """Lint one file with the per-file rules; ``(findings, suppressed)``.
-
-    Project-scoped rules are inert here (their per-file ``check`` yields
-    nothing); :func:`lint_paths` runs them over the whole file set.
-    """
+    """Lint one file; ``(findings, suppressed)``."""
     module, suppressions, error = _load_module(path, display_path)
     if module is None or suppressions is None:
         return [error] if error is not None else [], 0
@@ -201,46 +202,13 @@ def lint_paths(
     ``select``/``ignore`` like any finding.
     """
     rules = select_rules(select, ignore)
-    file_rules = [r for r in rules if getattr(r, "scope", "file") == "file"]
-    project_rules = [
-        r for r in rules if getattr(r, "scope", "file") == "project"
-    ]
     files = collect_files(paths)
     findings: List[Finding] = []
     suppressed = 0
-    modules: List[ModuleSource] = []
-    suppressions_by_path: Dict[str, Suppressions] = {}
     for path in files:
-        module, file_suppressions, error = _load_module(path)
-        if module is None or file_suppressions is None:
-            if error is not None:
-                findings.append(error)
-            continue
-        modules.append(module)
-        suppressions_by_path[module.path] = file_suppressions
-        for rule in file_rules:
-            for finding in rule.check(module):
-                if file_suppressions.is_suppressed(
-                    finding.line, finding.code
-                ):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
-    if project_rules:
-        from repro.lint.dataflow import ProjectIndex
-
-        project = ProjectIndex(modules)
-        for rule in project_rules:
-            for finding in rule.check_project(project):
-                file_suppressions = suppressions_by_path.get(finding.path)
-                if file_suppressions is not None and (
-                    file_suppressions.is_suppressed(
-                        finding.line, finding.code
-                    )
-                ):
-                    suppressed += 1
-                else:
-                    findings.append(finding)
+        file_findings, file_suppressed = lint_file(path, rules)
+        findings.extend(file_findings)
+        suppressed += file_suppressed
     selected = set(select) if select else None
     ignored = set(ignore) if ignore else set()
     for finding in extra_findings:

@@ -13,31 +13,25 @@ REPRO002   unseeded randomness (``random.Random()`` with no seed,
            ``random.SystemRandom``, ``os.urandom``, ``secrets``)
 REPRO003   iteration over ``set()`` / ``dict.keys()`` results flowing
            into trace/serialization sinks without ``sorted(...)``
-REPRO004   deprecated ``observer=`` / ``metrics=`` instrumentation
-           kwargs (superseded by ``instrument=``)
 REPRO005   mutable default arguments in ``Automaton``-subclass
            constructors
-REPRO006   spec-identity dataclass fields consumed by no fingerprint
-           sink (``meta``/``summary``/``spec_fingerprint``) and not
-           explicitly exempted — the stale-result-cache tripwire
 REPRO007   writes to module-level state (or closure cells) reachable
            from fork-pool worker entry points
 REPRO008   seeds built by arithmetic mixing (``seed + i``) or
            ``hash(...)`` instead of ``derive_seed``/``channel_seed``
-REPRO009   registered automata missing from the contract layer's
-           default subjects or the ``repro.api`` facade
 =========  ==============================================================
+
+REPRO004, REPRO006 and REPRO009 are retired codes (``docs/LINT.md``);
+selecting one is a usage error.
 
 Name resolution is import-aware but purely syntactic: ``import time as
 clock; clock.time()`` is caught, a ``time`` attribute on an arbitrary
 object is not.  REPRO003 is a heuristic over direct data flow (sink
 arguments and loop bodies); it does not chase values through
-assignments.  REPRO006-REPRO009 are the flow-aware layer: their
-project-wide machinery (field-consumption closure, per-module call
-graph, seed taint, live registry sweep) lives in
-:mod:`repro.lint.dataflow`; REPRO006/REPRO009 run once per lint run
-over every parsed module (:class:`ProjectRule`).  ``docs/LINT.md``
-carries the full catalog with bad/good examples per code.
+assignments.  REPRO007/REPRO008 are the flow-aware layer: their
+machinery (per-module call graph, seed taint) lives in
+:mod:`repro.lint.dataflow`.  ``docs/LINT.md`` carries the full catalog
+with bad/good examples per code.
 """
 
 from __future__ import annotations
@@ -106,10 +100,6 @@ class Rule:
 
     code: str = ""
     summary: str = ""
-    #: ``"file"`` rules run per module via :meth:`check`; ``"project"``
-    #: rules run once per lint run via ``check_project`` (see
-    #: :class:`ProjectRule`).
-    scope: str = "file"
 
     def check(self, module: "ModuleSource") -> Iterator[Finding]:
         raise NotImplementedError
@@ -462,56 +452,6 @@ class UnorderedIterationRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# REPRO004 — deprecated instrumentation kwargs
-# ---------------------------------------------------------------------------
-
-#: callee last-segment -> deprecated keyword names on that callee.
-DEPRECATED_KWARGS: Dict[str, FrozenSet[str]] = {
-    "Scheduler": frozenset({"observer"}),
-    "TaggedTreeGraph": frozenset({"metrics"}),
-    "find_hooks": frozenset({"metrics"}),
-    "HookSearch": frozenset({"metrics"}),
-    "run_consensus_experiment": frozenset({"observer", "metrics"}),
-}
-
-#: Deprecated builder-method spellings.
-DEPRECATED_METHODS: FrozenSet[str] = frozenset(
-    {"with_observer", "with_metrics"}
-)
-
-
-class DeprecatedKwargRule(Rule):
-    code = "REPRO004"
-    summary = "deprecated observer=/metrics= instrumentation spelling"
-
-    def check(self, module: ModuleSource) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            last = callee_last_segment(node)
-            if last in DEPRECATED_METHODS:
-                yield module.finding(
-                    node.func,
-                    self.code,
-                    f".{last}() is deprecated; use "
-                    ".with_instrumentation(instrument)",
-                )
-                continue
-            deprecated = DEPRECATED_KWARGS.get(last or "")
-            if not deprecated:
-                continue
-            for kw in node.keywords:
-                if kw.arg in deprecated:
-                    yield module.finding(
-                        kw.value,
-                        self.code,
-                        f"{last}({kw.arg}=...) is deprecated; pass "
-                        "instrument= (an Observer, a MetricsRegistry, an "
-                        "Instrumentation bundle, or a tuple of those)",
-                    )
-
-
-# ---------------------------------------------------------------------------
 # REPRO005 — mutable defaults in Automaton constructors
 # ---------------------------------------------------------------------------
 
@@ -575,76 +515,8 @@ class MutableDefaultRule(Rule):
 
 
 # ---------------------------------------------------------------------------
-# The flow-aware layer (REPRO006-REPRO009, repro.lint.dataflow)
+# The flow-aware layer (REPRO007-REPRO008, repro.lint.dataflow)
 # ---------------------------------------------------------------------------
-
-
-class ProjectRule(Rule):
-    """A rule that needs the whole lint run, not one module.
-
-    ``check`` (the per-file hook) yields nothing so project rules are
-    inert under :func:`repro.lint.engine.lint_file`; the engine calls
-    :meth:`check_project` once per run with the
-    :class:`~repro.lint.dataflow.ProjectIndex` of every parsed module.
-    """
-
-    scope = "project"
-
-    def check(self, module: "ModuleSource") -> Iterator[Finding]:
-        return iter(())
-
-    def check_project(self, project) -> Iterator[Finding]:
-        raise NotImplementedError
-
-
-class FingerprintCompletenessRule(ProjectRule):
-    """REPRO006: every spec field needs a fingerprint decision.
-
-    The content-addressed result cache keys on
-    ``spec_fingerprint(spec)``; a field that changes executions but not
-    the fingerprint is a *silent stale-result* bug.  This rule statically
-    derives the field sets of the spec-identity dataclasses and requires
-    each field to be transitively consumed by the fingerprint sinks
-    (``meta()`` / ``summary()`` / the run ledger's ``spec_fingerprint``)
-    or named in :data:`repro.lint.dataflow.FINGERPRINT_EXEMPT`.
-    """
-
-    code = "REPRO006"
-    summary = "spec field without a fingerprint decision"
-
-    def check_project(self, project) -> Iterator[Finding]:
-        from repro.lint.dataflow import fingerprint_partition
-
-        for part in fingerprint_partition(project):
-            module = part.module
-            for name in part.undecided:
-                yield finding_at(
-                    module.path,
-                    part.fields[name],
-                    self.code,
-                    f"field {part.class_name}.{name} is consumed by no "
-                    "fingerprint sink (meta/summary/spec_fingerprint) and "
-                    "is not exempted; a new field must either join the "
-                    "fingerprint or be listed in FINGERPRINT_EXEMPT "
-                    "(repro/lint/dataflow.py) as instrumentation-only",
-                )
-            for name in part.stale_exemptions:
-                yield finding_at(
-                    module.path,
-                    part.fields[name],
-                    self.code,
-                    f"field {part.class_name}.{name} is exempted as "
-                    "fingerprint-irrelevant but a fingerprint sink "
-                    "consumes it; drop the stale FINGERPRINT_EXEMPT entry",
-                )
-            for name in part.unknown_exemptions:
-                yield finding_at(
-                    module.path,
-                    part.classdef,
-                    self.code,
-                    f"FINGERPRINT_EXEMPT names {part.class_name}.{name} "
-                    "but the class has no such field; drop the dead entry",
-                )
 
 
 class WorkerRaceRule(Rule):
@@ -758,31 +630,6 @@ class SeedDisciplineRule(Rule):
                         )
 
 
-class RegistryExhaustivenessRule(ProjectRule):
-    """REPRO009: registered automata are contract-checked and exported.
-
-    Every detector reachable via ``iter_registered_automata()`` and
-    every timed implementation in the timed registry must have its
-    ``detector:*``/``timed:*`` (and ``compiled:*``) entry in
-    ``default_contract_subjects()`` and its class exported by the
-    ``repro.api`` facade — a registry entry nobody sweeps is an automaton
-    nobody checks.  The rule asks the *live* registries and only runs
-    when the lint run actually covers them.
-    """
-
-    code = "REPRO009"
-    summary = "registry entry missing from contract subjects or facade"
-
-    _REGISTRY_SUFFIXES = ("detectors/registry.py", "timed/registry.py")
-
-    def check_project(self, project) -> Iterator[Finding]:
-        from repro.lint.dataflow import check_registry_exhaustiveness
-
-        if not project.has_path_suffix(*self._REGISTRY_SUFFIXES):
-            return
-        yield from check_registry_exhaustiveness(code=self.code)
-
-
 # ---------------------------------------------------------------------------
 # Registry
 # ---------------------------------------------------------------------------
@@ -791,12 +638,9 @@ ALL_RULES: Tuple[Rule, ...] = (
     WallClockRule(),
     UnseededRandomRule(),
     UnorderedIterationRule(),
-    DeprecatedKwargRule(),
     MutableDefaultRule(),
-    FingerprintCompletenessRule(),
     WorkerRaceRule(),
     SeedDisciplineRule(),
-    RegistryExhaustivenessRule(),
 )
 
 #: code -> rule instance.

@@ -74,7 +74,6 @@ _EXPORTS = {
     "make_ledger_entry": "repro.obs.ledger",
     "series_digest": "repro.obs.ledger",
     "spec_digest": "repro.obs.ledger",
-    "spec_fingerprint": "repro.obs.ledger",
     "validate_ledger_entry": "repro.obs.ledger",
     "SeriesDrift": "repro.obs.compare",
     "compare_docs": "repro.obs.compare",
@@ -129,7 +128,6 @@ __all__ = [
     "make_ledger_entry",
     "series_digest",
     "spec_digest",
-    "spec_fingerprint",
     "validate_ledger_entry",
     "SeriesDrift",
     "compare_docs",

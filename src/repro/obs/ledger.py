@@ -4,9 +4,10 @@ The ROADMAP's result-cache item needs a stable answer to "have we already
 executed this exact experiment?".  This module supplies the key and the
 book: every recorded run is a JSON object *keyed by the SHA-256 of its
 canonical serialized identity* — for an
-:class:`~repro.runner.spec.ExperimentSpec`, the spec fingerprint
-(:func:`spec_fingerprint`); for a benchmark, its ``(bench_id, quick,
-title)`` identity — and appended to an on-disk JSONL ledger
+:class:`~repro.runner.spec.ExperimentSpec`, its run identity
+(:meth:`~repro.runner.spec.ExperimentSpec.meta`, hashed by
+:func:`spec_digest`); for a benchmark, its ``(bench_id, quick, title)``
+identity — and appended to an on-disk JSONL ledger
 (:class:`RunLedger`).  Append-only is the point: re-running the same spec
 appends a second entry under the same key, so drift between entries that
 share a key is *evidence* (an engine change, a flaky environment), not a
@@ -19,8 +20,9 @@ Each entry carries:
 ``kind`` / ``spec`` or ``bench``
     What ran, as canonical JSON-ready data (the preimage of ``key``).
 ``repro_version`` / ``seed`` / ``fault_plan``
-    Provenance: library version, the run seed, and the *bound* fault-plan
-    summary when one was attached (binding is part of reproducibility).
+    Provenance: library version, the run seed, and the *bound* fault
+    plan's key encoding when one was attached (binding is part of
+    reproducibility).
 ``profile``
     The ``repro.profile/1`` summary when the run was profiled.
 ``artifacts``
@@ -47,7 +49,6 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro import __version__
-from repro.obs.schema import jsonify_cell
 
 #: The ledger entry schema identifier.
 LEDGER_SCHEMA = "repro.ledger/1"
@@ -121,38 +122,14 @@ def series_digest(doc: Dict[str, Any]) -> str:
     )
 
 
-def spec_fingerprint(spec: Any) -> Dict[str, Any]:
-    """The canonical JSON-ready identity of an ExperimentSpec.
-
-    Extends :meth:`~repro.runner.spec.ExperimentSpec.meta` (label,
-    problem, detector, locations, crashes, f, seed, policy, max_steps,
-    bound fault plan) with the remaining behavior-determining fields —
-    detector/algorithm kwargs, effective proposals, ``min_live_outputs``
-    and the algorithm's name — so two specs share a fingerprint iff they
-    describe the same run.  Instrumentation flags are excluded on
-    purpose: tracing and profiling do not change executions, so they
-    must not change the content address.
-    """
-    fp = dict(spec.meta())
-    algorithm = spec.algorithm
-    if algorithm is not None:
-        fp["algorithm"] = str(
-            getattr(algorithm, "name", None)
-            or getattr(algorithm, "__name__", None)
-            or type(algorithm).__name__
-        )
-    fp["algorithm_kwargs"] = jsonify_cell(spec.algorithm_kwargs)
-    fp["detector_kwargs"] = jsonify_cell(spec.detector_kwargs)
-    fp["proposals"] = jsonify_cell(
-        {str(k): v for k, v in spec.effective_proposals().items()}
-    )
-    fp["min_live_outputs"] = spec.min_live_outputs
-    return fp
-
-
 def spec_digest(spec: Any) -> str:
-    """The content address of one spec: ``digest(spec_fingerprint(spec))``."""
-    return digest(spec_fingerprint(spec))
+    """The content address of one spec: ``digest(spec.meta())``.
+
+    ``meta()`` is the spec's run identity, derived field by field
+    (:func:`repro.runner.spec.encode_key`); the result store and the
+    run ledger both key on this digest.
+    """
+    return digest(spec.meta())
 
 
 def bench_identity(doc: Dict[str, Any]) -> Dict[str, Any]:
@@ -183,7 +160,7 @@ def make_ledger_entry(
     """Build one schema-conforming ledger entry.
 
     ``identity`` is the canonical preimage of the entry's ``key`` (a
-    spec fingerprint or a bench identity).  ``now_fn`` supplies the
+    spec's ``meta()`` or a bench identity).  ``now_fn`` supplies the
     ``created_unix`` stamp — a wall-clock read *about* the recording
     moment, injectable for frozen-clock tests and on the REPRO001
     allowlist.
@@ -320,6 +297,8 @@ class RunLedger:
         steps, messages) ride along as ``outcome`` — wall time does not.
         ``profile`` defaults to ``result.profile`` when present.
         """
+        from repro.runner.spec import encode_key
+
         plan = spec.resolve_fault_plan()
         extra: Dict[str, Any] = {}
         if result is not None:
@@ -333,9 +312,9 @@ class RunLedger:
                 profile = result.profile
         entry = make_ledger_entry(
             kind="spec-run",
-            identity=spec_fingerprint(spec),
+            identity=spec.meta(),
             seed=spec.seed,
-            fault_plan=plan.summary() if plan is not None else None,
+            fault_plan=encode_key(plan) if plan is not None else None,
             profile=profile,
             artifacts={
                 name: file_digest(path)

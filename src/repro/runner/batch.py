@@ -84,9 +84,8 @@ class BatchResult:
     """All results of one batch, plus how the batch ran.
 
     ``cache_hits``/``cache_misses`` partition the batch when a result
-    cache was attached (``BatchRunner(cache=...)`` or
-    :func:`repro.cache.shard.run_sharded`); both stay 0 on uncached
-    batches.
+    cache was attached (``BatchRunner(cache=...)``); both stay 0 on
+    uncached batches.
     """
 
     results: List[ExperimentResult] = field(default_factory=list)
@@ -292,8 +291,15 @@ class BatchRunner:
         specs = list(specs)
         start = time.perf_counter()
         hit_results: Dict[int, ExperimentResult] = {}
+        storable: List[bool] = []
         if self.cache is not None:
-            hit_results = self._collect_cache_hits(specs)
+            from repro.cache.store import cacheable
+
+            storable = [cacheable(spec) for spec in specs]
+            for k, spec in enumerate(specs):
+                hit = self.cache.get(spec) if storable[k] else None
+                if hit is not None:
+                    hit_results[k] = hit
         miss_indexed = [
             (k, spec)
             for k, spec in enumerate(specs)
@@ -314,13 +320,11 @@ class BatchRunner:
                 cache_hits=len(hit_results) if self.cache is not None else None,
             )
         if self.cache is not None:
-            from repro.cache.store import cacheable
-
-            for (_k, spec), result in zip(miss_indexed, executed):
+            for (k, spec), result in zip(miss_indexed, executed):
                 if (
-                    result.error is None
+                    storable[k]
+                    and result.error is None
                     and result.run is None
-                    and cacheable(spec)
                 ):
                     self.cache.put(spec, result)
         miss_iter = iter(executed)
@@ -342,21 +346,6 @@ class BatchRunner:
         if raise_on_error:
             batch.raise_on_error()
         return batch
-
-    def _collect_cache_hits(
-        self, specs: List[ExperimentSpec]
-    ) -> Dict[int, ExperimentResult]:
-        """Probe the cache for every cacheable spec; returns index -> hit."""
-        from repro.cache.store import cacheable
-
-        hits: Dict[int, ExperimentResult] = {}
-        for k, spec in enumerate(specs):
-            if not cacheable(spec):
-                continue
-            cached = self.cache.get(spec)
-            if cached is not None:
-                hits[k] = cached
-        return hits
 
     def _run_tracked(
         self,

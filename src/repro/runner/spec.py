@@ -34,23 +34,95 @@ The executable problems:
 Either problem can execute on the *compiled* engine (``compiled=True``
 or :func:`~repro.compiled.config.set_compiled_default`): the spec's
 system is lowered once into interned-id tables
-(:func:`repro.compiled.system.compile_spec`, cached by spec
-fingerprint) and runs replay them —
+(:func:`repro.compiled.system.compile_spec`, cached by
+:meth:`ExperimentSpec.system_key`) and runs replay them —
 traces, decisions and verdicts are byte-identical to the interpreted
 path, which stays the oracle.
 """
 
 from __future__ import annotations
 
+import collections.abc
 import dataclasses
+import functools
 import time
+import types
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, List, Mapping, Optional, Tuple
 
 from repro.runner.seeds import derive_seed
 
 PROBLEMS = ("consensus", "detector-trace", "timed-detector")
 POLICIES = ("round-robin", "random")
+
+# -- Key roles ----------------------------------------------------------------
+#
+# Each ExperimentSpec field declares its role in the spec's keys once, as
+# ``field(metadata={"key": ROLE})``.  A field without a role -- and every
+# field of a nested dataclass -- is in both keys, so a new field joins the
+# keys by default: forgetting to declare a role costs a cache miss, never
+# a stale hit.
+
+#: Attaches observers only (runs are byte-identical either way): no key.
+INSTRUMENTATION = "instrumentation"
+#: Selects the execution engine (both engines agree byte for byte): no key.
+ENGINE = "engine"
+#: Varies between runs of one built system: the run identity only.
+RUN = "run"
+
+_OUT_OF_RUN_KEY: FrozenSet[str] = frozenset({INSTRUMENTATION, ENGINE})
+_OUT_OF_SYSTEM_KEY: FrozenSet[str] = _OUT_OF_RUN_KEY | {RUN}
+
+
+@functools.lru_cache(maxsize=None)
+def _key_fields(
+    cls: type, leave_out: FrozenSet[str]
+) -> Optional[Tuple[str, ...]]:
+    """The fields of dataclass ``cls`` whose role is not in ``leave_out``
+    (``None`` for a class that is not a dataclass)."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(
+        f.name
+        for f in dataclasses.fields(cls)
+        if f.metadata.get("key") not in leave_out
+    )
+
+
+def encode_key(value: Any, opaque: Optional[List[str]] = None) -> Any:
+    """The JSON-ready key encoding of ``value``.
+
+    The one encoder every spec key is derived through:
+
+    * ``None``, strings, numbers and booleans pass through;
+    * a list or tuple encodes as a list, a mapping with ``str`` keys;
+    * a dataclass instance encodes as its :func:`dataclasses.fields`;
+    * a class or module-level function encodes as ``module.qualname``.
+
+    Anything else is *opaque* -- an AFD or algorithm instance, a lambda
+    or closure, a ``functools.partial`` -- and encodes as
+    ``module.type@id``.  The id is only meaningful inside this process,
+    so the tag is also appended to ``opaque`` when a list is given
+    (:func:`repro.cache.store.cacheable` refuses such specs).
+    """
+    if value is None or isinstance(value, (str, int, float, bool)):
+        return value
+    if isinstance(value, (list, tuple)):
+        return [encode_key(v, opaque) for v in value]
+    if isinstance(value, collections.abc.Mapping):
+        return {str(k): encode_key(v, opaque) for k, v in value.items()}
+    names = _key_fields(type(value), frozenset())
+    if names is not None:
+        return {name: encode_key(getattr(value, name), opaque) for name in names}
+    if isinstance(value, (type, types.FunctionType)):
+        name = f"{value.__module__}.{value.__qualname__}"
+        if "<" not in name:  # not a lambda, not defined inside a function
+            return name
+    kind = type(value)
+    tag = f"{kind.__module__}.{kind.__qualname__}@{id(value):x}"
+    if opaque is not None:
+        opaque.append(tag)
+    return tag
 
 
 @dataclass
@@ -110,44 +182,50 @@ class ExperimentSpec:
         Timing parameters for the ``"timed-detector"`` problem: a
         :class:`~repro.timed.params.TimedParams`, a mapping of overrides
         (``{"timeout": 4, "delay": {"jitter": 2}}``), or ``None`` for
-        the defaults.  For this problem ``detector`` names the timed
-        *implementation* (``"heartbeat"``, ``"ping-pong"``,
-        ``"leader-lease"``; aliases accepted and canonicalized), and the
-        resolved params join :meth:`meta` — and therefore the run-ledger
-        / result-cache identity.
+        the defaults; stored resolved to a ``TimedParams``.  For this
+        problem ``detector`` names the timed *implementation*
+        (``"heartbeat"``, ``"ping-pong"``, ``"leader-lease"``; aliases
+        accepted and canonicalized).
     compiled:
         ``True`` executes on the compiled engine (:mod:`repro.compiled`):
-        the spec's system is built and lowered once per fingerprint and
-        reused across runs.  ``False`` forces the interpreted engine;
-        ``None`` (default) defers to the process default
-        (:func:`repro.compiled.config.set_compiled_default`).  Results
-        are byte-identical either way; the flag is deliberately *not*
-        part of :meth:`meta`, so artifacts regenerated on either engine
-        compare clean.
+        the spec's system is built and lowered once per
+        :meth:`system_key` and reused across runs.  ``False`` forces the
+        interpreted engine; ``None`` (default) defers to the process
+        default (:func:`repro.compiled.config.set_compiled_default`).
+        Results are byte-identical either way.
     label:
         Free-form identity used in batch rows and artifacts.
+
+    Each field's role in the spec's keys is declared in its
+    ``metadata``: :data:`INSTRUMENTATION` and :data:`ENGINE` fields are
+    in no key, :data:`RUN` fields only in the run identity
+    (:meth:`meta`), and every other field also in the compiled system's
+    key (:meth:`system_key`).
     """
 
     detector: Any
     locations: Tuple[int, ...]
     algorithm: Any = None
     proposals: Optional[Mapping[int, Any]] = None
-    crashes: Any = None
-    f: int = 1
+    crashes: Any = field(default=None, metadata={"key": RUN})
+    f: int = field(default=1, metadata={"key": RUN})
     problem: str = "consensus"
     algorithm_kwargs: Dict[str, Any] = field(default_factory=dict)
     detector_kwargs: Dict[str, Any] = field(default_factory=dict)
-    seed: int = 0
-    policy: str = "round-robin"
-    max_steps: int = 5000
-    min_live_outputs: int = 1
-    instrument: bool = False
-    profile: bool = False
-    record_steps: bool = False
+    seed: int = field(default=0, metadata={"key": RUN})
+    policy: str = field(default="round-robin", metadata={"key": RUN})
+    max_steps: int = field(default=5000, metadata={"key": RUN})
+    min_live_outputs: int = field(default=1, metadata={"key": RUN})
+    instrument: bool = field(default=False, metadata={"key": INSTRUMENTATION})
+    profile: bool = field(default=False, metadata={"key": INSTRUMENTATION})
+    record_steps: bool = field(
+        default=False, metadata={"key": INSTRUMENTATION}
+    )
     fault_plan: Any = None
     timed: Any = None
-    compiled: Optional[bool] = None
-    label: str = ""
+    compiled: Optional[bool] = field(default=None, metadata={"key": ENGINE})
+    # The cached ExperimentResult carries the label, so it is run identity.
+    label: str = field(default="", metadata={"key": RUN})
 
     def __post_init__(self) -> None:
         self.locations = tuple(self.locations)
@@ -189,7 +267,9 @@ class ExperimentSpec:
                     f"{type(self.detector).__name__}"
                 )
             self.detector = resolve_implementation(self.detector)
-            self.resolve_timed()  # fail fast on bad timing params
+            # Fails fast on bad timing params; normalised so a mapping
+            # and the params object it resolves to share a key.
+            self.timed = self.resolve_timed()
         if not self.label:
             det = (
                 self.detector
@@ -291,33 +371,40 @@ class ExperimentSpec:
         )
         return dataclasses.replace(self, **overrides)
 
-    def meta(self) -> Dict[str, Any]:
-        """JSON-ready identity of this spec (for reports/artifacts)."""
-        det = (
-            self.detector
-            if isinstance(self.detector, str)
-            else getattr(self.detector, "name", type(self.detector).__name__)
-        )
-        out = {
-            "label": self.label,
-            "problem": self.problem,
-            "detector": str(det),
-            "locations": list(self.locations),
-            "crashes": {
-                str(k): v for k, v in self.fault_pattern().crashes.items()
-            },
-            "f": self.f,
-            "seed": self.seed,
-            "policy": self.policy,
-            "max_steps": self.max_steps,
-        }
-        if self.fault_plan is not None:
-            out["fault_plan"] = self.resolve_fault_plan().summary()
-        if self.problem == "timed-detector":
-            # Full timing identity: timed runs are defined by it, and
-            # via meta() it reaches the ledger / result-cache key.
-            out["timed"] = self.resolve_timed().summary()
+    # -- Identity -----------------------------------------------------------
+
+    def _key(
+        self, leave_out: FrozenSet[str], opaque: Optional[List[str]] = None
+    ) -> Dict[str, Any]:
+        out: Dict[str, Any] = {}
+        for name in _key_fields(type(self), leave_out) or ():
+            if name == "fault_plan":
+                # Key the bound plan: an unbound one runs per-seed faults.
+                value = self.resolve_fault_plan()
+            else:
+                value = getattr(self, name)
+            out[name] = encode_key(value, opaque)
         return out
+
+    def meta(self) -> Dict[str, Any]:
+        """The run identity: every field but instrumentation and engine.
+
+        JSON-ready (:func:`encode_key`); :func:`repro.obs.ledger.spec_digest`
+        hashes it into the key the result store and the run ledger use,
+        and run reports carry it.
+        """
+        return self._key(_OUT_OF_RUN_KEY)
+
+    def system_key(self) -> Dict[str, Any]:
+        """The identity of the built system: :meth:`meta` without the
+        run-only fields (the compiled spec cache's key)."""
+        return self._key(_OUT_OF_SYSTEM_KEY)
+
+    def opaque_values(self) -> List[str]:
+        """The process-local (``type@id``) values in :meth:`meta`."""
+        found: List[str] = []
+        self._key(_OUT_OF_RUN_KEY, found)
+        return found
 
     def run(self) -> "ExperimentResult":
         """Execute this spec in-process (see :func:`run_spec`)."""
@@ -472,7 +559,7 @@ def _run_consensus(
     engine and :func:`~repro.analysis.checkers.run_consensus_experiment`
     all bottom out here.  On the interpreted engine the system is built
     fresh (with any instrumentation attached at build time); on the
-    compiled engine the fingerprint-cached
+    compiled engine the cached
     :class:`~repro.compiled.system.CompiledSystem` is reused and the
     instrumentation rides the run (``System.run(instrument=...)``).
     Both engines then share everything else verbatim: settlement

@@ -1,9 +1,9 @@
 """Timing parameters for the discrete-virtual-time detector layer.
 
 Everything here is a plain frozen dataclass of hashable values: the
-parameters pickle, compare by value, hash, and serialize to JSON via
-:meth:`summary` — which is how they enter ``ExperimentSpec.meta()`` and
-therefore the run ledger / result-cache fingerprint.  Time is an integer
+parameters pickle, compare by value, hash, and enter
+``ExperimentSpec.meta()`` field by field — and therefore the run ledger /
+result-cache key.  Time is an integer
 tick counter owned by the timed automaton; no wall clock exists anywhere
 in this layer (REPRO001-clean by construction).
 
@@ -20,7 +20,7 @@ under which no heartbeat implementation can realize ◇P.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, replace
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.runner.seeds import derive_seed
 
@@ -108,19 +108,6 @@ class DelayModel:
             # Exact integer power: unbounded delays must not saturate.
             extra += self.growth ** index
         return self.base + extra
-
-    def summary(self) -> Dict[str, Any]:
-        """A JSON-ready description (only the non-default knobs)."""
-        out: Dict[str, Any] = {"base": self.base}
-        if self.jitter:
-            out["jitter"] = self.jitter
-        if self.gst:
-            out["gst"] = self.gst
-        if self.post_jitter is not None:
-            out["post_jitter"] = self.post_jitter
-        if self.growth:
-            out["growth"] = self.growth
-        return out
 
 
 @dataclass(frozen=True)
@@ -232,20 +219,3 @@ class TimedParams:
         return replace(self, **merged)
 
     # -- Identity ------------------------------------------------------------
-
-    def summary(self) -> Dict[str, Any]:
-        """The JSON-ready identity of these params.
-
-        Every field appears (timed runs are *defined* by their timing
-        assumptions, so nothing is elided), making the dict a stable
-        component of ``spec_fingerprint`` — change a timeout, change the
-        cache key.
-        """
-        return {
-            "heartbeat_period": self.heartbeat_period,
-            "timeout": self.timeout,
-            "timeout_bump": self.timeout_bump,
-            "query_period": self.query_period,
-            "lease": self.lease,
-            "delay": self.delay.summary(),
-        }

@@ -21,7 +21,7 @@ from repro.timed.leader_lease import LeaderLeaseDetector
 from repro.timed.pingpong import PingPongDetector
 
 #: Canonical name -> implementation class.  Keys are the spellings used
-#: in ``ExperimentSpec.meta()`` / cache fingerprints, sweep labels, and
+#: in ``ExperimentSpec.meta()`` / cache keys, sweep labels, and
 #: the E18 series.
 IMPLEMENTATIONS: Dict[str, Type[TimedDetectorAutomaton]] = {
     "heartbeat": HeartbeatDetector,

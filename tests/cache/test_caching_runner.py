@@ -5,8 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+import repro.algorithms.consensus_omega as consensus_omega
 import repro.runner.batch as batch_mod
+from repro.algorithms.participant_consensus import (
+    consensus_from_participant_algorithm,
+)
 from repro.cache import ResultStore
+from repro.obs.ledger import spec_digest
 from repro.runner import BatchRunner, ExperimentSpec, sweep
 
 LOCS = (0, 1, 2)
@@ -142,6 +147,36 @@ class TestCachePolicy:
         assert healed.cache_misses == 1
         assert det(healed.results) == det(cold.results)
         assert store.get(spec) is not None  # republished after re-run
+
+
+def omega_consensus_algorithm(locations, **kwargs):
+    """Shares the real factory's ``__name__`` but builds another
+    algorithm, which never decides under Omega."""
+    return consensus_from_participant_algorithm(locations, **kwargs)
+
+
+class TestFactoryIdentity:
+    def test_same_named_factory_is_a_miss_not_a_stale_hit(self, tmp_path):
+        def consensus(factory):
+            return ExperimentSpec(
+                algorithm=factory,
+                detector="omega",
+                locations=LOCS,
+                max_steps=400,
+            )
+
+        real = consensus(consensus_omega.omega_consensus_algorithm)
+        impostor = consensus(omega_consensus_algorithm)
+        assert real.label == impostor.label
+        assert spec_digest(real) != spec_digest(impostor)
+        store = ResultStore(str(tmp_path / "store"))
+        stored = BatchRunner(jobs=1, cache=store).run([real])
+        assert stored.results[0].solved
+        batch = BatchRunner(jobs=1, cache=store).run([impostor])
+        assert (batch.cache_hits, batch.cache_misses) == (0, 1)
+        fresh = impostor.run()
+        assert not fresh.solved and fresh.steps == 400
+        assert det(batch.results) == det([fresh])
 
 
 class TestProgressInterplay:

@@ -9,7 +9,7 @@ import pytest
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
 from repro.analysis.checkers import run_consensus_experiment
 from repro.detectors.omega import Omega
-from repro.faults.plan import ChannelFaults, CrashRule, FaultPlan
+from repro.faults.plan import CrashRule, FaultPlan
 from repro.runner.batch import BatchRunner
 from repro.runner.seeds import derive_seed
 from repro.runner.spec import ExperimentSpec
@@ -63,8 +63,17 @@ def test_meta_carries_fault_plan_summary():
     )
     meta = spec.meta()
     assert meta["fault_plan"]["seed"] == 4
-    assert meta["fault_plan"]["default"] == {"drop_p": 0.25}
-    assert "fault_plan" not in base_spec().meta()
+    assert meta["fault_plan"]["default"] == {
+        "drop_p": 0.25,
+        "duplicate_p": 0.0,
+        "reorder_p": 0.0,
+        "delay_p": 0.0,
+        "max_delay": 0,
+        "drop_sends": [],
+        "duplicate_sends": [],
+        "reorder_sends": [],
+    }
+    assert base_spec().meta()["fault_plan"] is None
 
 
 # -- The sweep axis ----------------------------------------------------------

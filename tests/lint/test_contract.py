@@ -270,6 +270,25 @@ class TestRepositorySubjects:
         for name, obj in default_spec_subjects():
             assert check_picklable(obj, name) == [], name
 
+    def test_every_registry_entry_is_checked_and_exported(self):
+        # A registry entry nobody sweeps is an automaton nobody checks:
+        # each live detector / timed implementation needs its contract
+        # subject on both engines, and its class is public surface.
+        import repro.api
+        from repro.detectors.registry import iter_registered_automata
+        from repro.timed.registry import IMPLEMENTATIONS
+
+        subjects = {s.name for s in default_contract_subjects()}
+        entries = [
+            ("detector", name, type(afd))
+            for name, afd, _automaton in iter_registered_automata()
+        ] + [("timed", name, cls) for name, cls in IMPLEMENTATIONS.items()]
+        assert entries
+        for prefix, name, cls in entries:
+            for subject in (f"{prefix}:{name}", f"compiled:{prefix}:{name}"):
+                assert subject in subjects, subject
+            assert cls.__name__ in repro.api.__all__, cls
+
     def test_whole_repository_passes_the_contract(self):
         report = run_contract_checks()
         assert report.ok, [f.format_text() for f in report.findings]

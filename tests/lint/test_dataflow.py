@@ -1,23 +1,14 @@
-"""Mutation tests for the flow-aware lint layer (REPRO006-REPRO009).
+"""Mutation tests for the flow-aware lint layer (REPRO007, REPRO008).
 
 Same discipline as ``tests/lint/test_rules.py``: every rule gets a
 fixture violating exactly it (asserted at the expected line/column) and
-a clean twin on which nothing fires.  The REPRO006 property tests run
-the *real* spec/ledger sources from disk through the analysis, so the
-statically-derived partition is checked against ``dataclasses.fields``
-and the live ``spec_fingerprint`` — and a mutation test deletes one
-consumption line from the ledger source and demands the rule notices.
+a clean twin on which nothing fires.
 """
 
 import ast
-import dataclasses
 import textwrap
 
 from repro.lint.dataflow import (
-    FINGERPRINT_EXEMPT,
-    ProjectIndex,
-    check_registry_exhaustiveness,
-    fingerprint_partition,
     single_assignments,
     tainted_seed_expr,
     worker_entry_points,
@@ -25,305 +16,15 @@ from repro.lint.dataflow import (
 )
 from repro.lint.rules import RULES_BY_CODE, ModuleSource
 
-REPO_SPEC = "src/repro/runner/spec.py"
-REPO_LEDGER = "src/repro/obs/ledger.py"
-REPO_PLAN = "src/repro/faults/plan.py"
-REPO_PARAMS = "src/repro/timed/params.py"
-
 
 def module(path, source):
     source = textwrap.dedent(source)
     return ModuleSource(path, source, ast.parse(source))
 
 
-def project(sources):
-    return ProjectIndex(
-        [module(path, src) for path, src in sorted(sources.items())]
-    )
-
-
-def run_project(code, sources):
-    rule = RULES_BY_CODE[code]
-    return sorted(rule.check_project(project(sources)))
-
-
 def run_file(code, source, path="fixture.py"):
     rule = RULES_BY_CODE[code]
     return sorted(rule.check(module(path, source)))
-
-
-def disk_module(relpath):
-    with open(relpath, "r", encoding="utf-8") as fp:
-        text = fp.read()
-    return ModuleSource(relpath, text, ast.parse(text))
-
-
-# ---------------------------------------------------------------------------
-# REPRO006 — fingerprint completeness
-# ---------------------------------------------------------------------------
-
-
-class TestFingerprintRule:
-    def test_undecided_field_flagged_at_declaration(self):
-        findings = run_project(
-            "REPRO006",
-            {
-                "pkg/params.py": """
-                class TimedParams:
-                    timeout: float = 1.0
-                    jitter: float = 0.0
-
-                    def summary(self):
-                        return {"timeout": self.timeout}
-                """
-            },
-        )
-        assert [f.code for f in findings] == ["REPRO006"]
-        assert [(f.line, f.col) for f in findings] == [(4, 5)]
-        assert "TimedParams.jitter" in findings[0].message
-        assert "FINGERPRINT_EXEMPT" in findings[0].message
-
-    def test_clean_twin_all_fields_consumed(self):
-        assert run_project(
-            "REPRO006",
-            {
-                "pkg/params.py": """
-                class TimedParams:
-                    timeout: float = 1.0
-                    jitter: float = 0.0
-
-                    def summary(self):
-                        return {"timeout": self.timeout, "jitter": self.jitter}
-                """
-            },
-        ) == []
-
-    def test_transitive_consumption_through_helper_method(self):
-        assert run_project(
-            "REPRO006",
-            {
-                "pkg/params.py": """
-                class TimedParams:
-                    timeout: float = 1.0
-                    jitter: float = 0.0
-
-                    def _timing(self):
-                        return (self.timeout, self.jitter)
-
-                    def summary(self):
-                        return {"timing": self._timing()}
-                """
-            },
-        ) == []
-
-    def test_getattr_dynamic_mode_consumes_name_literals(self):
-        # The ChannelFaults.summary idiom: getattr over field-name
-        # literals consumes every named field.
-        assert run_project(
-            "REPRO006",
-            {
-                "pkg/faults.py": """
-                class ChannelFaults:
-                    drop: float = 0.0
-                    dup: float = 0.0
-
-                    def summary(self):
-                        return {n: getattr(self, n) for n in ("drop", "dup")}
-                """
-            },
-        ) == []
-
-    def test_cross_module_ledger_sink_consumes(self):
-        sources = {
-            "pkg/spec.py": """
-            class ExperimentSpec:
-                seed: int = 0
-                label: str = ""
-
-                def meta(self):
-                    return {"label": self.label}
-            """,
-            "pkg/obs/ledger.py": """
-            def spec_fingerprint(spec):
-                return {"seed": spec.seed, **spec.meta()}
-            """,
-        }
-        with _exempt({"ExperimentSpec": frozenset()}):
-            assert run_project("REPRO006", sources) == []
-
-    def test_wrong_path_spec_fingerprint_is_not_a_sink(self):
-        # compiled/system.py defines a narrower spec_fingerprint for
-        # table sharing; only the obs/ledger.py one is cache identity.
-        sources = {
-            "pkg/spec.py": """
-            class ExperimentSpec:
-                seed: int = 0
-                label: str = ""
-
-                def meta(self):
-                    return {"label": self.label}
-            """,
-            "pkg/compiled/system.py": """
-            def spec_fingerprint(spec):
-                return {"seed": spec.seed}
-            """,
-        }
-        with _exempt({"ExperimentSpec": frozenset()}):
-            findings = run_project("REPRO006", sources)
-        assert [f.code for f in findings] == ["REPRO006"]
-        assert "ExperimentSpec.seed" in findings[0].message
-
-    def test_stale_exemption_flagged(self):
-        with _exempt({"TimedParams": frozenset({"timeout"})}):
-            findings = run_project(
-                "REPRO006",
-                {
-                    "pkg/params.py": """
-                    class TimedParams:
-                        timeout: float = 1.0
-
-                        def summary(self):
-                            return {"timeout": self.timeout}
-                    """
-                },
-            )
-        assert [f.code for f in findings] == ["REPRO006"]
-        assert "exempted" in findings[0].message
-        assert "consumes" in findings[0].message
-
-    def test_unknown_exemption_flagged_at_class(self):
-        with _exempt({"TimedParams": frozenset({"ghost"})}):
-            findings = run_project(
-                "REPRO006",
-                {
-                    "pkg/params.py": """
-                    class TimedParams:
-                        timeout: float = 1.0
-
-                        def summary(self):
-                            return {"timeout": self.timeout}
-                    """
-                },
-            )
-        assert [f.code for f in findings] == ["REPRO006"]
-        assert "ghost" in findings[0].message
-        assert findings[0].line == 2  # anchored at the class statement
-
-    def test_classvar_is_not_a_field(self):
-        assert run_project(
-            "REPRO006",
-            {
-                "pkg/params.py": """
-                from typing import ClassVar
-
-                class TimedParams:
-                    SCHEMA: ClassVar[str] = "v1"
-                    timeout: float = 1.0
-
-                    def summary(self):
-                        return {"timeout": self.timeout}
-                """
-            },
-        ) == []
-
-
-class _exempt:
-    """Temporarily replace the module-level exemption table."""
-
-    def __init__(self, table):
-        self.table = table
-
-    def __enter__(self):
-        self.saved = dict(FINGERPRINT_EXEMPT)
-        FINGERPRINT_EXEMPT.clear()
-        FINGERPRINT_EXEMPT.update(self.table)
-
-    def __exit__(self, *exc):
-        FINGERPRINT_EXEMPT.clear()
-        FINGERPRINT_EXEMPT.update(self.saved)
-
-
-class TestFingerprintAgainstRealSources:
-    """The partition derived from the committed sources is exact."""
-
-    def real_partition(self):
-        index = ProjectIndex(
-            [
-                disk_module(REPO_SPEC),
-                disk_module(REPO_LEDGER),
-                disk_module(REPO_PLAN),
-                disk_module(REPO_PARAMS),
-            ]
-        )
-        parts = {p.class_name: p for p in fingerprint_partition(index)}
-        return parts
-
-    def test_experiment_spec_partition_matches_dataclass_fields(self):
-        from repro.runner.spec import ExperimentSpec
-
-        part = self.real_partition()["ExperimentSpec"]
-        declared = {f.name for f in dataclasses.fields(ExperimentSpec)}
-        assert set(part.fields) == declared
-        assert part.consumed | set(part.exempt) == declared
-        assert part.consumed & set(part.exempt) == set()
-        assert part.undecided == []
-        assert part.stale_exemptions == []
-        assert part.unknown_exemptions == []
-
-    def test_consumed_fields_reach_the_live_fingerprint(self):
-        # Every statically "consumed" field must show up, by name, as a
-        # key of spec_fingerprint on at least one representative spec.
-        from repro.api import ExperimentSpec, FaultPlan, spec_fingerprint
-        from repro.algorithms import omega_consensus_algorithm
-
-        consensus = ExperimentSpec(
-            algorithm=omega_consensus_algorithm,
-            detector="omega",
-            locations=(0, 1, 2),
-            crashes={0: 10},
-            f=1,
-            fault_plan=FaultPlan(),
-            label="prop",
-        )
-        timed = ExperimentSpec(
-            detector="heartbeat",
-            locations=(0, 1, 2),
-            problem="timed-detector",
-            seed=7,
-        )
-        keys = set(spec_fingerprint(consensus)) | set(spec_fingerprint(timed))
-        part = self.real_partition()["ExperimentSpec"]
-        missing = part.consumed - keys
-        assert missing == set(), missing
-
-    def test_every_sink_class_is_fully_decided(self):
-        for name, part in self.real_partition().items():
-            assert part.undecided == [], (name, part.undecided)
-            assert part.stale_exemptions == [], name
-            assert part.unknown_exemptions == [], name
-
-    def test_deleting_a_ledger_consumption_line_fires(self):
-        # Mutation test: drop min_live_outputs from the real ledger
-        # source; the rule must notice the field lost its decision.
-        with open(REPO_LEDGER, "r", encoding="utf-8") as fp:
-            text = fp.read()
-        needle = '    fp["min_live_outputs"] = spec.min_live_outputs\n'
-        assert needle in text
-        mutated = text.replace(needle, "")
-        rule = RULES_BY_CODE["REPRO006"]
-        index = ProjectIndex(
-            [
-                disk_module(REPO_SPEC),
-                ModuleSource(REPO_LEDGER, mutated, ast.parse(mutated)),
-                disk_module(REPO_PLAN),
-                disk_module(REPO_PARAMS),
-            ]
-        )
-        findings = sorted(rule.check_project(index))
-        assert any(
-            f.code == "REPRO006" and "min_live_outputs" in f.message
-            for f in findings
-        ), findings
 
 
 # ---------------------------------------------------------------------------
@@ -639,135 +340,3 @@ class TestSeedDisciplineRule:
         assert tainted_seed_expr(ok, {}) is None
         scope = ast.parse("a = 1\nb = 2\nb = 3\n")
         assert set(single_assignments(scope)) == {"a"}
-
-
-# ---------------------------------------------------------------------------
-# REPRO009 — registry exhaustiveness
-# ---------------------------------------------------------------------------
-
-
-class _FakeDetector:
-    pass
-
-
-class TestRegistryExhaustiveness:
-    def test_live_registries_are_exhaustive(self):
-        assert check_registry_exhaustiveness() == []
-
-    def test_missing_subject_and_facade_entries_flagged(self):
-        findings = check_registry_exhaustiveness(
-            detector_items=[("fake", _FakeDetector)],
-            timed_items=[],
-            subject_names={"detector:fake"},
-            facade_names=set(),
-        )
-        messages = [f.message for f in findings]
-        assert len(findings) == 2
-        assert any("compiled:detector:fake" in m for m in messages)
-        assert any("repro.api" in m for m in messages)
-        assert all(f.code == "REPRO009" for f in findings)
-
-    def test_missing_timed_subject_flagged(self):
-        findings = check_registry_exhaustiveness(
-            detector_items=[],
-            timed_items=[("fake", _FakeDetector)],
-            subject_names=set(),
-            facade_names={"_FakeDetector"},
-        )
-        assert len(findings) == 2
-        assert any("timed:fake" in f.message for f in findings)
-        assert any("compiled:timed:fake" in f.message for f in findings)
-
-    def test_fully_covered_injection_is_clean(self):
-        assert (
-            check_registry_exhaustiveness(
-                detector_items=[("fake", _FakeDetector)],
-                timed_items=[],
-                subject_names={"detector:fake", "compiled:detector:fake"},
-                facade_names={"_FakeDetector"},
-            )
-            == []
-        )
-
-    def test_rule_is_gated_on_registry_modules(self):
-        # A project that does not contain the registries (every tmp-dir
-        # fixture in the engine tests) must not trigger the live sweep.
-        rule = RULES_BY_CODE["REPRO009"]
-        index = project({"pkg/other.py": "x = 1\n"})
-        assert list(rule.check_project(index)) == []
-
-    def test_findings_anchor_at_class_definitions(self):
-        from repro.detectors.omega import Omega
-
-        findings = check_registry_exhaustiveness(
-            detector_items=[("omega", Omega)],
-            timed_items=[],
-            subject_names=set(),
-            facade_names=set(),
-        )
-        assert findings
-        for f in findings:
-            assert f.path.endswith("detectors/omega.py")
-            assert f.line > 1
-
-
-# ---------------------------------------------------------------------------
-# Engine integration: project rules ride the normal pipeline
-# ---------------------------------------------------------------------------
-
-
-class TestEngineIntegration:
-    def test_project_findings_flow_through_lint_paths(self, tmp_path):
-        (tmp_path / "params.py").write_text(
-            textwrap.dedent(
-                """
-                class TimedParams:
-                    timeout: float = 1.0
-                    jitter: float = 0.0
-
-                    def summary(self):
-                        return {"timeout": self.timeout}
-                """
-            )
-        )
-        from repro.lint.engine import lint_paths
-
-        result = lint_paths([str(tmp_path)])
-        assert [f.code for f in result.findings] == ["REPRO006"]
-
-    def test_project_findings_respect_pragmas(self, tmp_path):
-        (tmp_path / "params.py").write_text(
-            textwrap.dedent(
-                """
-                class TimedParams:
-                    timeout: float = 1.0
-                    jitter: float = 0.0  # repro-lint: disable=REPRO006
-
-                    def summary(self):
-                        return {"timeout": self.timeout}
-                """
-            )
-        )
-        from repro.lint.engine import lint_paths
-
-        result = lint_paths([str(tmp_path)])
-        assert result.findings == []
-        assert result.suppressed == 1
-
-    def test_select_excludes_project_rules(self, tmp_path):
-        (tmp_path / "params.py").write_text(
-            textwrap.dedent(
-                """
-                class TimedParams:
-                    timeout: float = 1.0
-                    jitter: float = 0.0
-
-                    def summary(self):
-                        return {"timeout": self.timeout}
-                """
-            )
-        )
-        from repro.lint.engine import lint_paths
-
-        result = lint_paths([str(tmp_path)], select=["REPRO001"])
-        assert result.findings == []

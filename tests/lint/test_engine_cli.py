@@ -90,8 +90,16 @@ class TestSelectRules:
         assert "REPRO001" not in [r.code for r in rest]
 
     def test_unknown_code_rejected(self):
-        with pytest.raises(ValueError):
-            select_rules(select=["BOGUS1"])
+        # A mistyped or retired code would otherwise select no rule.
+        for code in ("BOGUS1", "REPRO999", "REPRO006"):
+            with pytest.raises(ValueError, match=code):
+                select_rules(select=[code])
+            with pytest.raises(ValueError, match=code):
+                select_rules(ignore=[code])
+
+    def test_contract_and_parse_error_codes_accepted(self):
+        assert select_rules(select=["REPROC01", "REPROC06"]) == []
+        assert select_rules(select=["REPRO900"]) == []
 
 
 class TestLintFile:
@@ -167,6 +175,10 @@ class TestCli:
     def test_unknown_code_is_usage_error(self, clean_file, capsys):
         assert main([clean_file, "--select", "NOPE"]) == 2
         assert "error" in capsys.readouterr().err
+
+    def test_unknown_repro_code_is_usage_error(self, clean_file, capsys):
+        assert main([clean_file, "--select", "REPRO999"]) == 2
+        assert "REPRO999" in capsys.readouterr().err
 
     def test_select_narrows(self, violating_file, capsys):
         assert main([violating_file, "--select", "REPRO002"]) == 1
@@ -252,14 +264,13 @@ class TestSelectedRulesLine:
         err = capsys.readouterr().err
         assert (
             "repro-lint: selected rules: "
-            "REPRO001,REPRO002,REPRO003,REPRO004,REPRO005,"
-            "REPRO006,REPRO007,REPRO008,REPRO009" in err
+            "REPRO001,REPRO002,REPRO003,REPRO005,REPRO007,REPRO008" in err
         )
 
     def test_select_narrows_the_echo(self, clean_file, capsys):
-        main([clean_file, "--select", "REPRO006,REPRO009"])
+        main([clean_file, "--select", "REPRO007,REPRO008"])
         err = capsys.readouterr().err
-        assert "repro-lint: selected rules: REPRO006,REPRO009" in err
+        assert "repro-lint: selected rules: REPRO007,REPRO008" in err
 
 
 class TestContractCache:
@@ -312,46 +323,6 @@ class TestContractCache:
         findings = [Finding("a.py", 3, 1, "REPROC01", "msg")]
         write_contract_cache(cache, "k", findings)
         assert load_contract_cache(cache, "k") == findings
-
-
-class TestProjectRuleBaselineRoundTrip:
-    def test_write_baseline_then_clean_then_new_violation(
-        self, tmp_path, capsys
-    ):
-        # Satellite: the round trip must also hold for project-scoped
-        # findings (REPRO006), whose identities are line-free too.
-        fixture = tmp_path / "params.py"
-        fixture.write_text(
-            "class TimedParams:\n"
-            "    timeout: float = 1.0\n"
-            "    jitter: float = 0.0\n"
-            "\n"
-            "    def summary(self):\n"
-            '        return {"timeout": self.timeout}\n'
-        )
-        baseline = str(tmp_path / "baseline.json")
-        target = str(fixture)
-        assert main([target, "--baseline", baseline]) == 1
-        capsys.readouterr()
-        assert (
-            main([target, "--baseline", baseline, "--write-baseline"]) == 0
-        )
-        assert "wrote 1 finding(s)" in capsys.readouterr().out
-        assert main([target, "--baseline", baseline]) == 0
-        assert "(1 baselined" in capsys.readouterr().out
-        # A new undecided field is a NEW identity and still fails.
-        fixture.write_text(
-            "class TimedParams:\n"
-            "    timeout: float = 1.0\n"
-            "    jitter: float = 0.0\n"
-            "    skew: float = 0.0\n"
-            "\n"
-            "    def summary(self):\n"
-            '        return {"timeout": self.timeout}\n'
-        )
-        assert main([target, "--baseline", baseline]) == 1
-        out = capsys.readouterr().out
-        assert "TimedParams.skew" in out
 
 
 class TestBaseline:

@@ -1,4 +1,4 @@
-"""Mutation tests for the AST rules (REPRO001-REPRO005, REPRO007-REPRO008).
+"""Mutation tests for the AST rules (REPRO001-REPRO003, REPRO005).
 
 Same discipline as ``tests/faults/test_oracles_catch_violations.py``:
 for every rule there is a fixture violating *exactly* that rule — the
@@ -28,27 +28,16 @@ def assert_only(findings, code, positions):
 
 
 class TestCatalog:
-    def test_nine_rules_with_stable_codes(self):
+    def test_six_rules_with_stable_codes(self):
         assert rule_codes() == [
             "REPRO001",
             "REPRO002",
             "REPRO003",
-            "REPRO004",
             "REPRO005",
-            "REPRO006",
             "REPRO007",
             "REPRO008",
-            "REPRO009",
         ]
         assert set(RULES_BY_CODE) == set(rule_codes())
-
-    def test_flow_rules_carry_their_scope(self):
-        assert RULES_BY_CODE["REPRO006"].scope == "project"
-        assert RULES_BY_CODE["REPRO009"].scope == "project"
-        assert RULES_BY_CODE["REPRO007"].scope == "file"
-        assert RULES_BY_CODE["REPRO008"].scope == "file"
-        for code in ("REPRO001", "REPRO002", "REPRO003", "REPRO004", "REPRO005"):
-            assert RULES_BY_CODE[code].scope == "file"
 
 
 class TestWallClock:
@@ -270,46 +259,6 @@ class TestUnorderedIteration:
             def f(xs):
                 seen = set(xs)
                 return {x for x in xs if x in seen}
-            """
-        ) == []
-
-
-class TestDeprecatedKwarg:
-    def test_scheduler_observer_flagged(self):
-        findings = run_rules(
-            """
-            def h(s, obs):
-                return Scheduler(s, observer=obs)
-            """
-        )
-        assert_only(findings, "REPRO004", [(3, 34)])
-
-    def test_with_observer_method_flagged(self):
-        findings = run_rules(
-            """
-            def h(b, obs):
-                return b.with_observer(obs)
-            """
-        )
-        assert_only(findings, "REPRO004", [(3, 12)])
-
-    def test_clean_twin_instrument(self):
-        assert run_rules(
-            """
-            def h(s, b, obs):
-                sched = Scheduler(s, instrument=obs)
-                return b.with_instrumentation(obs)
-            """
-        ) == []
-
-    def test_current_api_keywords_not_flagged(self):
-        # These callees legitimately take observer=/metrics= today.
-        assert run_rules(
-            """
-            def h(obs, reg, execution, system):
-                i = Instrumentation(observer=obs, metrics=reg)
-                system.run(observer=obs)
-                return build_run_report(execution, metrics=reg)
             """
         ) == []
 

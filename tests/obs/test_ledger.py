@@ -18,7 +18,6 @@ from repro.obs.ledger import (
     make_ledger_entry,
     series_digest,
     spec_digest,
-    spec_fingerprint,
     validate_ledger_entry,
 )
 from repro.runner import ExperimentSpec, run_spec
@@ -108,7 +107,7 @@ class TestSpecFingerprint:
         assert plain != spec_digest(consensus_spec(crashes={1: 10}))
 
     def test_fingerprint_is_json_canonicalizable(self):
-        fp = spec_fingerprint(consensus_spec())
+        fp = consensus_spec().meta()
         canonical_json(fp)  # must not raise
         assert fp["algorithm"]
         assert fp["seed"] == 7

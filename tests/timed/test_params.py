@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.runner.spec import encode_key
 from repro.timed.params import DelayModel, TimedParams
 
 
@@ -67,15 +68,26 @@ class TestDelayDraws:
             1 + 3**k for k in range(5)
         ]
 
-    def test_summary_elides_defaults(self):
-        assert DelayModel().summary() == {"base": 1}
-        assert DelayModel(base=2, jitter=1, gst=5, post_jitter=0).summary() == {
-            "base": 2,
-            "jitter": 1,
-            "gst": 5,
-            "post_jitter": 0,
+    def test_identity_names_every_knob(self):
+        # The derived key encoding spells out every field, defaults
+        # included, so a model never shares a key with a different one.
+        assert encode_key(DelayModel()) == {
+            "base": 1,
+            "jitter": 0,
+            "gst": 0,
+            "post_jitter": None,
+            "growth": 0,
         }
-        assert DelayModel(growth=2).summary() == {"base": 1, "growth": 2}
+        assert encode_key(
+            DelayModel(base=2, jitter=1, gst=5, post_jitter=0)
+        ) == {"base": 2, "jitter": 1, "gst": 5, "post_jitter": 0, "growth": 0}
+        assert encode_key(DelayModel(growth=2)) == {
+            "base": 1,
+            "jitter": 0,
+            "gst": 0,
+            "post_jitter": None,
+            "growth": 2,
+        }
 
 
 class TestTimedParamsValidation:
@@ -146,8 +158,10 @@ class TestMerged:
 
 
 class TestSummary:
+    """The params' key summary is their derived encoding (encode_key)."""
+
     def test_every_field_appears(self):
-        summary = TimedParams().summary()
+        summary = encode_key(TimedParams())
         assert set(summary) == {
             "heartbeat_period",
             "timeout",
@@ -160,7 +174,7 @@ class TestSummary:
     def test_summary_tracks_every_knob(self):
         # Timed runs are *defined* by their timing assumptions; the
         # summary is their cache/ledger identity, so no knob may alias.
-        a = TimedParams().summary()
+        a = encode_key(TimedParams())
         for override in (
             {"heartbeat_period": 5},
             {"timeout": 9},
@@ -169,4 +183,4 @@ class TestSummary:
             {"lease": 3},
             {"delay": {"jitter": 2}},
         ):
-            assert TimedParams().merged(override).summary() != a
+            assert encode_key(TimedParams().merged(override)) != a

@@ -10,7 +10,7 @@ from repro.detectors.eventually_perfect import EventuallyPerfect
 from repro.detectors.omega import Omega
 from repro.detectors.perfect import Perfect
 from repro.faults import CrashRule, FaultPlan
-from repro.obs.ledger import spec_fingerprint
+from repro.obs.ledger import spec_digest
 from repro.runner import ExperimentSpec, run_spec
 
 LOCS = (0, 1, 2)
@@ -79,14 +79,20 @@ class TestResolution:
     def test_meta_carries_the_full_timing_identity(self):
         meta = dict(timed_spec(timed={"timeout": 4}).meta())
         assert meta["timed"]["timeout"] == 4
-        assert meta["timed"]["delay"] == {"base": 1}
+        assert meta["timed"]["delay"] == {
+            "base": 1,
+            "jitter": 0,
+            "gst": 0,
+            "post_jitter": None,
+            "growth": 0,
+        }
 
     def test_fingerprint_tracks_timing_params(self):
         # The timed knobs are cache/ledger identity: change a timeout,
         # change the key.
-        a = spec_fingerprint(timed_spec(timed={"timeout": 4}))
-        b = spec_fingerprint(timed_spec(timed={"timeout": 5}))
-        c = spec_fingerprint(timed_spec(timed={"timeout": 4}))
+        a = spec_digest(timed_spec(timed={"timeout": 4}))
+        b = spec_digest(timed_spec(timed={"timeout": 5}))
+        c = spec_digest(timed_spec(timed={"timeout": 4}))
         assert a != b
         assert a == c
 
