@@ -158,7 +158,10 @@ class Automaton(ABC):
         Because enabledness is a pure function of the state (states are
         immutable and ``apply`` is pure), results may be cached keyed on
         the state; :class:`~repro.ioa.composition.Composition` overrides
-        this with a memoized per-component version.
+        this with a memoized per-component version.  The result is
+        shared and must be treated as read-only:
+        :meth:`~repro.ioa.scheduler.Scheduler.run` hands a policy the
+        same dict again whenever it is asked about the same state object.
         """
         grouped: Dict[str, List[Action]] = {}
         for action in self.enabled_locally(state):

@@ -39,15 +39,18 @@ the component's state piece alone — so the composition memoizes them:
   policies and the tagged-tree builder ask once per step instead of once
   per task;
 * **incremental snapshots**: the composition keeps the last snapshot it
-  built with its per-component group list.  Asked again for the identical
-  state object it returns that snapshot; asked for the state
+  built with its per-component group list.  Asked for the state
   :meth:`Composition.apply` produced from it, it re-probes only the fired
   action's participants and re-merges the group list in component order
   (or carries the snapshot over when no participant's group changed, key
-  order included).  Identity reuse is sound because states are immutable
-  and a step replaces the pieces of exactly its participants: every other
+  order included).  This is sound because states are immutable and a
+  step replaces the pieces of exactly its participants: every other
   piece is the same object, so its group cannot have changed.  Any other
-  state gets the full merge.
+  state gets the full merge.  Returning the same snapshot for the same
+  state object is not done here but in the step loop
+  (:meth:`repro.ioa.scheduler.Scheduler.run`), for every automaton;
+  ``apply`` always builds a new tuple, so there it serves only a
+  policy that asks twice within one step.
 
 Correctness rests on the module contract that states are immutable and
 ``enabled_locally`` is a pure function of the state
@@ -413,12 +416,12 @@ class Composition(Automaton):
         scheduler policies and the tagged-tree builder consume (see the
         module docstring).
 
-        The returned dict is shared with later calls (the same state
-        object returns the same dict) and must be treated as read-only.
+        The returned dict is shared with later calls (a carried-over
+        snapshot is the previous dict) and must be treated as read-only.
+        Asking again about the same state object is the step loop's job
+        (:meth:`repro.ioa.scheduler.Scheduler.run` keeps the last
+        snapshot); here it is a full merge.
         """
-        if state is self._snap_state:
-            self._c_snapshot.hits += 1
-            return self._snap
         if state is self._child_state:
             self._c_snapshot.hits += 1
             groups = self._snap_groups

@@ -65,6 +65,47 @@ def _timed_apply(prof, apply):
     return timed_apply
 
 
+#: Matches no state: a fresh view has answered for nothing yet.
+_NO_STATE = object()
+
+
+class _SnapshotReuse:
+    """What :meth:`Scheduler.run` shows its policy: the automaton, with
+    ``enabled_by_task`` answered from the last snapshot when asked about
+    the very state object it last answered for.
+
+    An action whose ``apply`` returns its state unchanged (a detector's
+    fd output) makes the next step ask about the same object, and a
+    policy may ask twice in one step (the adversarial fallback); both
+    cost one ``is`` test.  Identity, not equality: an equal but distinct
+    state is asked afresh, so nothing is hashed.  Any other state goes to
+    ``ask``, the automaton's ``enabled_by_task`` as bound at run start
+    (booked under ``snapshot`` when profiled).  Every other attribute
+    delegates to the automaton; ``tasks`` is bound directly, since every
+    built-in policy reads it each step.
+    """
+
+    __slots__ = ("_base", "_ask", "_state", "_snapshot", "tasks")
+
+    def __init__(self, base: Automaton, ask):
+        self._base = base
+        self._ask = ask
+        self._state: State = _NO_STATE
+        self._snapshot: Dict[str, Tuple[Action, ...]] = {}
+        self.tasks = base.tasks
+
+    def __getattr__(self, name):
+        return getattr(self._base, name)
+
+    def enabled_by_task(self, state: State) -> Dict[str, Tuple[Action, ...]]:
+        if state is self._state:
+            return self._snapshot
+        snapshot = self._ask(state)
+        self._state = state
+        self._snapshot = snapshot
+        return snapshot
+
+
 #: Process-wide fallback profiler (see :func:`set_default_profiler`).
 _DEFAULT_PROFILER = None
 
@@ -109,7 +150,13 @@ class SchedulerPolicy(ABC):
     def choose(
         self, automaton: Automaton, state: State, step: int
     ) -> Optional[Action]:
-        """The next action to fire, or ``None`` if nothing is enabled."""
+        """The next action to fire, or ``None`` if nothing is enabled.
+
+        Under :meth:`Scheduler.run`, ``automaton`` is the run's view of
+        the automaton: its ``enabled_by_task`` hands out the previous
+        snapshot when asked about the same state object again, so the
+        dict is shared across calls and must be treated as read-only.
+        """
 
     def reset(self) -> None:
         """Forget any internal position; called at the start of a run."""
@@ -214,6 +261,8 @@ class AdversarialPolicy(SchedulerPolicy):
     def choose(
         self, automaton: Automaton, state: State, step: int
     ) -> Optional[Action]:
+        # When the chooser abstains the fallback asks for this state's
+        # snapshot again; the run's view answers it with this very dict.
         snapshot = automaton.enabled_by_task(state)
         options: List[Tuple[str, Tuple[Action, ...]]] = [
             (task, snapshot[task])
@@ -246,8 +295,9 @@ class Scheduler:
         per-phase costs through timing wrappers around the callables
         :meth:`run` binds once per run (``policy.choose``, ``apply``,
         the injection ``enabled`` check, ``stop_when``, the observer's
-        hooks, and the policy's ``enabled_by_task`` view) — the same
-        loop, identical executions; an
+        hooks, and the automaton's ``enabled_by_task``, so ``snapshot``
+        books only the snapshots the run computes) — the same loop,
+        identical executions; an
         :class:`~repro.obs.instrument.Instrumentation` bundle; or a tuple
         of those.  ``None`` (the default) keeps the hot loop free of
         tracing work: no observer means no per-step object is allocated
@@ -312,6 +362,12 @@ class Scheduler:
         injection pending) or ``stop_when(state, step)`` returns True.
         Injections scheduled at steps beyond the end of the run are
         silently dropped (the adversary chose not to act in time).
+
+        The policy sees the automaton through a per-run view that keeps
+        the last enabled-by-task snapshot: asked about the state object
+        it last answered for (``apply`` returned its state unchanged, or
+        the policy asks twice in a step), it returns that snapshot
+        instead of asking the automaton again.
         """
         from repro.compiled.config import resolve_compiled
 
@@ -339,9 +395,9 @@ class Scheduler:
         choose = policy.choose
         enabled = automaton.enabled
         apply = automaton.apply
-        view = automaton
+        enabled_by_task = automaton.enabled_by_task
         if prof is not None:
-            view = prof.view(automaton, enabled_by_task="snapshot")
+            enabled_by_task = prof.timed("snapshot", enabled_by_task)
             choose = prof.timed("policy", choose)
             enabled = prof.timed("injection", enabled)
             apply = _timed_apply(prof, apply)
@@ -349,6 +405,7 @@ class Scheduler:
                 stop_when = prof.timed("stop-when", stop_when)
             if observer is not None:
                 observer = prof.observer(observer)
+        view = _SnapshotReuse(automaton, enabled_by_task)
         wall_start = time.perf_counter() if metrics is not None else 0.0
         cache_base = cache_stats_snapshot() if metrics is not None else {}
         pending: Dict[int, List[Action]] = {}
@@ -375,7 +432,11 @@ class Scheduler:
             # (several injections can share a step; the later ones spill
             # over into subsequent steps).
             injected = False
-            due = min((s for s in pending if s <= step), default=None)
+            due = (
+                min((s for s in pending if s <= step), default=None)
+                if pending
+                else None
+            )
             if due is not None:
                 action = pending[due].pop(0)
                 if not pending[due]:

@@ -44,10 +44,10 @@ against.  Two halves:
     ``time.perf_counter``).  Wall time never flows into trace or series
     data — it lives only in the profile summary.  A run attaches a
     profiler by wrapping the callables its one step loop binds at run
-    start (:meth:`StepProfiler.timed`, :meth:`StepProfiler.view`).  Each
-    wrapper books its callable's *self* time, so a run's phases sum to
-    its loop wall.  Without a profiler nothing is wrapped: the loop calls
-    the bound methods directly.
+    start (:meth:`StepProfiler.timed`, :meth:`StepProfiler.observer`).
+    Each wrapper books its callable's *self* time, so a run's phases sum
+    to its loop wall.  Without a profiler nothing is wrapped: the loop
+    calls the bound methods directly.
 
 Cache telemetry (:func:`cache_counter`)
     Process-global named hit/miss/evict counters the hot-path memos
@@ -322,24 +322,14 @@ class StepProfiler:
 
         return wrapper
 
-    def view(self, base: Any, **phases: str) -> Any:
-        """``base`` with each named method booked under its phase.
-
-        ``view(automaton, enabled_by_task="snapshot")`` is what a
-        profiled run shows its policy; every other attribute delegates
-        to ``base``.
-        """
-        methods = {
-            name: self.timed(phase, getattr(base, name))
-            for name, phase in phases.items()
-        }
-        return _TimedView(base, methods)
-
     def observer(self, observer: Any) -> Any:
-        """``observer`` with its four hooks booked under ``observe``."""
-        return self.view(
-            observer, **dict.fromkeys(_OBSERVER_HOOKS, "observe")
-        )
+        """``observer`` with its four hooks booked under ``observe``;
+        every other attribute delegates to ``observer``."""
+        hooks = {
+            name: self.timed("observe", getattr(observer, name))
+            for name in _OBSERVER_HOOKS
+        }
+        return _TimedView(observer, hooks)
 
     def on_run_start(self) -> None:
         """Open a run: the loop wall starts at this clock reading."""

@@ -15,7 +15,9 @@ like the zoo detectors' —
 * task ``"out[i]"`` holds exactly one action per live location ``i``:
   the fd output computed from i's current process state (suspects,
   leader, ...).  Outputs never change state, mirroring
-  :class:`~repro.detectors.base.CrashsetDetectorAutomaton`.
+  :class:`~repro.detectors.base.CrashsetDetectorAutomaton`, so the
+  scheduler's step loop reuses one enabled-by-task snapshot from a tick
+  (or crash) to the next.
 
 Under the default round-robin policy a "cycle" is therefore one tick
 followed by one fd output per live location — every run interleaves
@@ -132,9 +134,14 @@ class TimedDetectorAutomaton(Automaton):
             for loc, others in self._others.items()
         }
         self._tick_action = Action(TICK, None, ())
-        self._tasks = ("clock",) + tuple(
+        #: Location index -> its output task name, and back.
+        self._out_tasks: Tuple[str, ...] = tuple(
             f"out[{i}]" for i in self.locations
         )
+        self._out_index: Dict[str, int] = {
+            task: k for k, task in enumerate(self._out_tasks)
+        }
+        self._tasks = ("clock",) + self._out_tasks
         output_name = self.output_name
         in_locations = frozenset(self.locations)
         self._signature = Signature(
@@ -310,9 +317,21 @@ class TimedDetectorAutomaton(Automaton):
     def enabled_in_task(self, state: State, task: str) -> Tuple[Action, ...]:
         if task == "clock":
             return (self._tick_action,)
-        for loc in self.locations:
-            if task == f"out[{loc}]":
-                if state[1][self._index[loc]]:
-                    return ()
-                return (self._output_at(loc, state),)
-        return ()
+        k = self._out_index.get(task)
+        if k is None or state[1][k]:
+            return ()
+        return (self._output_at(self.locations[k], state),)
+
+    def enabled_by_task(self, state: State) -> Dict[str, Tuple[Action, ...]]:
+        """The generic grouping's snapshot, built in one pass: ``clock``,
+        then ``out[i]`` for each live location in location order."""
+        _now, flags, nodes, _net = state
+        output_name = self.output_name
+        node_output = self.node_output
+        snapshot = {"clock": (self._tick_action,)}
+        for k, loc in enumerate(self.locations):
+            if not flags[k]:
+                snapshot[self._out_tasks[k]] = (
+                    Action(output_name, loc, node_output(loc, nodes[k])),
+                )
+        return snapshot

@@ -19,6 +19,7 @@ from repro.ioa.signature import (
     PredicateActionSet,
     Signature,
 )
+from repro.obs.prof import cache_counter
 
 PING = Action("ping", 0)
 PONG = Action("pong", 1)
@@ -184,12 +185,18 @@ class TestEnabledCacheLayer:
         assert len(c._enabled_memo) == 4
 
     def test_repeated_state_returns_the_same_snapshot(self):
+        """A repeated ask gets the same snapshot by value, from a full
+        merge.  Handing a policy the very same dict is the step loop's
+        job (tests/ioa/test_snapshot_reuse.py)."""
         c = compose(pinger(), ponger())
+        counter = cache_counter("composition.snapshot")
         s0 = c.initial_state()
         first = c.enabled_by_task(s0)
-        assert c.enabled_by_task(s0) is first
-        # An equal state that is a different object gets a fresh merge.
-        assert c.enabled_by_task(tuple(list(s0))) is not first
+        for state in (s0, tuple(list(s0))):
+            hits, misses = counter.hits, counter.misses
+            again = c.enabled_by_task(state)
+            assert list(again.items()) == list(first.items())
+            assert (counter.hits - hits, counter.misses - misses) == (0, 1)
 
     def test_patched_snapshot_keeps_full_merge_key_order(self):
         """A participant whose group keeps its items but reorders its

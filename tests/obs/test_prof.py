@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from collections import Counter
 
 import pytest
 
@@ -11,7 +10,7 @@ from repro.algorithms.consensus_omega import omega_consensus_algorithm
 from repro.compiled.system import clear_spec_cache
 from repro.faults import FaultPlan
 from repro.ioa.actions import Action
-from repro.ioa.automaton import Automaton, FunctionalAutomaton
+from repro.ioa.automaton import FunctionalAutomaton
 from repro.ioa.scheduler import (
     Injection,
     RoundRobinPolicy,
@@ -72,30 +71,6 @@ def scripted_clock(step=1.0, readings=None):
         return state["t"]
 
     return clock
-
-
-def _automaton_classes(cls=Automaton):
-    yield cls
-    for sub in cls.__subclasses__():
-        yield from _automaton_classes(sub)
-
-
-@pytest.fixture
-def snapshot_calls(monkeypatch):
-    """Counts ``enabled_by_task`` calls per defining class, wherever the
-    call comes from (policies, compiled snapshot tables, bridges)."""
-    calls = Counter()
-    for cls in set(_automaton_classes()):
-        original = cls.__dict__.get("enabled_by_task")
-        if original is None:
-            continue
-
-        def counted(self, state, _original=original, _name=cls.__qualname__):
-            calls[_name] += 1
-            return _original(self, state)
-
-        monkeypatch.setattr(cls, "enabled_by_task", counted)
-    return calls
 
 
 class TestStepProfiler:

@@ -259,11 +259,11 @@ def mixed_walks(draw):
 @settings(max_examples=40, deadline=None)
 @given(walk=mixed_walks())
 def test_incremental_snapshots_match_brute_force(walk):
-    """Walks mixing the snapshot's three cases: apply from the snapshotted
+    """Walks mixing the snapshot's cases: apply from the snapshotted
     state (patch), apply from an older state as the tree builder does
     (full merge), injected crash inputs (patch), and repeated queries of
-    one state (reuse).  Every snapshot equals brute force, key order
-    included, and ``composition.snapshot`` books each case."""
+    one state (full merges).  Every snapshot equals brute force, key
+    order included, and ``composition.snapshot`` books each case."""
     components, crashes, moves = walk
     cached, uncached = make_pair(components)
     counter = cache_counter("composition.snapshot")
@@ -273,13 +273,14 @@ def test_incremental_snapshots_match_brute_force(walk):
     for move, choice in moves:
         hits, misses = counter.hits, counter.misses
         if move == "repeat":
-            # An equal but distinct state object gets the full merge...
+            # An equal but distinct state object gets the full merge, and
+            # so does every repeated ask of the original: handing back
+            # the same dict is the step loop's job
+            # (tests/ioa/test_snapshot_reuse.py).
             checked_snapshot(cached, tuple(list(state)))
-            # ...so does the original, which is no longer the last one;
-            first = checked_snapshot(cached, state)
-            # then asking again returns the very same snapshot.
-            assert checked_snapshot(cached, state) is first
-            assert (counter.hits - hits, counter.misses - misses) == (1, 2)
+            checked_snapshot(cached, state)
+            checked_snapshot(cached, state)
+            assert (counter.hits - hits, counter.misses - misses) == (0, 3)
             continue
         if move == "older" and len(visited) > 1:
             source = visited[choice % (len(visited) - 1)]
