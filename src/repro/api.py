@@ -182,7 +182,7 @@ from repro.lint import (
 )
 
 def compile(target):  # noqa: A001 - deliberate facade name, like ``re.compile``
-    """Compile ``target`` for the array step loop (the v2 run surface).
+    """Compile ``target`` for the compiled engine (the v2 run surface).
 
     Two shapes are accepted:
 

@@ -20,11 +20,13 @@ integer ids*:
   transition relation become id-indexed lists and int-keyed memos,
   reusing the PR 3 seams (``Composition._dispatch``, per-component
   ``enabled_by_task``) as the authoritative fallback on first sighting;
-* :func:`~repro.compiled.loop.run_compiled` — the array step loop: a
-  :class:`~repro.ioa.scheduler.Scheduler`-equivalent driver whose steady
-  state is "index a snapshot, pick an action id, follow one int-keyed
-  memo edge", producing executions byte-identical to the interpreted
-  path (the property suite in ``tests/compiled`` enforces this).
+* :mod:`repro.compiled.loop` — the policy twins: round-robin, random
+  and adversarial policies replayed over the snapshot tables.  There
+  is no second step loop: :meth:`~repro.ioa.scheduler.Scheduler.run`
+  drives the compiled core like any automaton, and its steady state is
+  "index a snapshot, hand out an action, follow one int-keyed memo
+  edge", producing executions byte-identical to the interpreted path
+  (the property suite in ``tests/compiled`` enforces this).
 
 The interpreted path is untouched and remains the oracle: compiled
 execution is opt-in per run (``ExperimentSpec(compiled=True)``,
@@ -45,7 +47,6 @@ from repro.compiled.tables import (
     CompiledComposition,
     compile_automaton,
 )
-from repro.compiled.loop import run_compiled
 from repro.compiled.system import (
     CompiledSystem,
     CompiledSystemMeta,
@@ -61,6 +62,5 @@ __all__ = [
     "compile_automaton",
     "compile_spec",
     "compiled_default",
-    "run_compiled",
     "set_compiled_default",
 ]

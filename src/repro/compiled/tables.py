@@ -12,10 +12,9 @@ nested-state hashes.
 The tables, all dense lists indexed by action id / state id:
 
 ================  ==========================================================
-action id         ``-> Action`` (canonical first-seen object), owner
-                  component index, participant index tuple, task index,
-                  chan-tick flag — the flattened form of
-                  ``Composition._dispatch`` + ``task_of``
+action id         ``-> Action`` (canonical first-seen object) and
+                  participant index tuple — the flattened form of
+                  ``Composition._dispatch``
 state/config id   ``-> state`` (materialized canonical value) and the
                   *enabled snapshot*: per task index, the enabled action
                   ids sorted in Action order (so ``aids[0]`` is the
@@ -32,12 +31,15 @@ signatures keep working and the interpreted semantics remain the single
 source of truth; everything after the first sighting is list indexing
 and int-keyed dict probes.
 
-``CompiledAutomaton`` *is* an :class:`~repro.ioa.automaton.Automaton`:
-``initial_state``/``apply`` route through the tables (this is what the
-lint contract layer's compiled subjects exercise — REPROC02/REPROC04
-against the compiled apply thunks), while ``enabled_locally``/
-``tasks``/``task_of`` delegate to the base automaton, whose enumeration
-order is part of the observable contract.
+``CompiledAutomaton`` *is* an :class:`~repro.ioa.automaton.Automaton`,
+and :meth:`~repro.ioa.scheduler.Scheduler.run` drives it like any
+other: ``initial_state``/``apply``/``enabled_by_task`` route through the
+tables (the lint contract layer's compiled subjects exercise the same
+methods — REPROC02/REPROC04 against the compiled apply thunks), while
+``enabled``/``enabled_locally``/``task_of`` delegate to the base
+automaton, whose enumeration order is part of the observable contract.
+The policy twins of :mod:`repro.compiled.loop` read the snapshot tables
+directly.
 """
 
 from __future__ import annotations
@@ -52,10 +54,8 @@ from repro.ioa.signature import Signature
 from repro.compiled.intern import Interner
 from repro.obs.prof import cache_counter
 
-#: The chaos channels' delay-aging action name (kept in sync with
-#: :data:`repro.ioa.scheduler.CHAN_TICK`; duplicated to keep this module
-#: import-light).
-_CHAN_TICK = "chan-tick"
+#: Matches no state or action: the identity slots start empty.
+_NOTHING = object()
 
 
 class CompiledAutomaton(Automaton):
@@ -66,6 +66,16 @@ class CompiledAutomaton(Automaton):
     below.  The lowering is lazy: tables grow as states and actions are
     first sighted, because predicate-based signatures make the action
     universe non-enumerable up front.
+
+    As an automaton, the core hands out canonical states (one object per
+    config id) and remembers the last one it returned or was asked
+    about (``_state``/``_cid``), so the step loop's next ``apply``
+    resolves its config id with one ``is`` test; likewise the action a
+    policy twin last chose, which the twin stores in ``_action``/``_aid``.
+    Any other state is interned, and any other action goes through an
+    identity-keyed memo before interning, so equal-by-value states and
+    actions (a ``start=`` state, deep copies, fresh injection objects)
+    work unchanged.
     """
 
     def __init__(self, automaton: Automaton):
@@ -76,8 +86,9 @@ class CompiledAutomaton(Automaton):
             task: index for index, task in enumerate(self.task_names)
         }
         self._actions = Interner("action")
-        #: action id -> the action fires the chaos channels' delay ager
-        self._is_tick: List[bool] = []
+        #: action id -> canonical action; config id -> canonical state
+        self._action_list: List[Action] = []
+        self._config_states: List[State] = []
         #: state id -> per-task-index enabled action ids (None when the
         #: task has nothing enabled), plus the dense non-empty projection
         #: in task order (what the random policy twin draws from).
@@ -86,6 +97,17 @@ class CompiledAutomaton(Automaton):
         self._apply_memo: Dict[Tuple[int, int], int] = {}
         self._c_apply = cache_counter("compiled.apply")
         self._states = Interner("state")
+        #: config id -> the base automaton's own snapshot, built on demand
+        self._base_snaps: Dict[int, Dict[str, Tuple[Action, ...]]] = {}
+        #: id(action) -> (action, action id) for actions not handed out
+        self._aid_memo: Dict[int, Tuple[Action, int]] = {}
+        self._clear_slots()
+
+    def _clear_slots(self) -> None:
+        self._state: State = _NOTHING
+        self._cid = -1
+        self._action: Action = _NOTHING
+        self._aid = -1
 
     # -- Interning ----------------------------------------------------------
 
@@ -95,6 +117,7 @@ class CompiledAutomaton(Automaton):
         fresh = len(self._states)
         sid = self._states.intern(state)
         if sid == fresh:
+            self._config_states.append(state)
             self._build_snapshot(state)
         return sid
 
@@ -105,6 +128,7 @@ class CompiledAutomaton(Automaton):
         fresh = len(self._actions)
         aid = self._actions.intern(action)
         if aid == fresh:
+            self._action_list.append(action)
             self._register_action(action)
         return aid
 
@@ -118,40 +142,41 @@ class CompiledAutomaton(Automaton):
         self._snap_dense.append(tuple(a for a in full if a))
 
     def _register_action(self, action: Action) -> None:
-        self._is_tick.append(action.name == _CHAN_TICK)
+        """Per-action tables beyond the canonical object (none here)."""
 
-    # -- The loop-facing table API ------------------------------------------
+    def config_id(self, state: State) -> int:
+        """The config id of ``state``: one ``is`` test against the state
+        last returned or asked about, else interned and remembered."""
+        if state is self._state:
+            return self._cid
+        cid = self.intern_config(state)
+        self._state = state
+        self._cid = cid
+        return cid
+
+    def _action_id(self, action: Action) -> int:
+        entry = self._aid_memo.get(id(action))
+        if entry is not None and entry[0] is action:
+            return entry[1]
+        aid = self.intern_action(action)
+        # The entry pins the action, so its id() stays unique.
+        self._aid_memo[id(action)] = (action, aid)
+        return aid
+
+    # -- The table API (policy twins, the tagged-tree builder) --------------
 
     def state_of(self, cid: int) -> State:
-        return self._states.value_of(cid)
+        return self._config_states[cid]
 
     def action_of(self, aid: int) -> Action:
-        return self._actions.value_of(aid)
-
-    def is_tick(self, aid: int) -> bool:
-        return self._is_tick[aid]
+        return self._action_list[aid]
 
     def snapshot_full(self, cid: int) -> Tuple[Optional[Tuple[int, ...]], ...]:
         return self._snap_full[cid]
 
-    def snapshot_dense(self, cid: int) -> Tuple[Tuple[int, ...], ...]:
-        return self._snap_dense[cid]
-
-    def apply_ids(self, cid: int, aid: int) -> int:
-        """The transition relation over ids, memoized."""
-        key = (cid, aid)
-        nid = self._apply_memo.get(key)
-        if nid is not None:
-            self._c_apply.hits += 1
-            return nid
-        self._c_apply.misses += 1
-        nid = self._transition(cid, aid)
-        self._apply_memo[key] = nid
-        return nid
-
     def _transition(self, cid: int, aid: int) -> int:
         return self.intern_config(
-            self.base.apply(self.state_of(cid), self.action_of(aid))
+            self.base.apply(self._config_states[cid], self._action_list[aid])
         )
 
     # -- Housekeeping -------------------------------------------------------
@@ -171,30 +196,64 @@ class CompiledAutomaton(Automaton):
     def reset_tables(self) -> None:
         """Drop every table (safe only between runs; ids are reborn).
 
-        The step-loop drivers call this when the config table outgrows
+        :meth:`repro.compiled.system.CompiledSystem.maybe_reset` calls
+        this when the config table outgrows
         :data:`repro.compiled.system.TABLE_CAP`, bounding memory on
         workloads whose state stream never repeats (chaos channels age
         a counter every tick)."""
         self._actions.clear()
-        self._is_tick.clear()
+        self._action_list.clear()
+        self._config_states.clear()
         self._snap_full.clear()
         self._snap_dense.clear()
         self._apply_memo.clear()
         self._states.clear()
+        self._base_snaps.clear()
+        self._aid_memo.clear()
+        self._clear_slots()
 
-    # -- Automaton interface (the lint contract layer's view) ---------------
+    # -- Automaton interface (the step loop's and the lint layer's view) ----
 
     @property
     def signature(self) -> Signature:
         return self.base.signature
 
     def initial_state(self) -> State:
-        return self.state_of(self.intern_config(self.base.initial_state()))
+        cid = self.intern_config(self.base.initial_state())
+        self._state = self._config_states[cid]
+        self._cid = cid
+        return self._state
 
     def apply(self, state: State, action: Action) -> State:
-        return self.state_of(
-            self.apply_ids(self.intern_config(state), self.intern_action(action))
-        )
+        """The transition relation over the memoized id table."""
+        cid = self._cid if state is self._state else self.config_id(state)
+        aid = self._aid if action is self._action else self._action_id(action)
+        key = (cid, aid)
+        nid = self._apply_memo.get(key)
+        if nid is None:
+            self._c_apply.misses += 1
+            nid = self._transition(cid, aid)
+            self._apply_memo[key] = nid
+        else:
+            self._c_apply.hits += 1
+        state = self._config_states[nid]
+        self._state = state
+        self._cid = nid
+        return state
+
+    def enabled_by_task(self, state: State) -> Dict[str, Tuple[Action, ...]]:
+        """The base automaton's snapshot of ``state``'s config, built once
+        per config on first request (shared and read-only, like every
+        snapshot)."""
+        cid = self._cid if state is self._state else self.config_id(state)
+        snapshot = self._base_snaps.get(cid)
+        if snapshot is None:
+            snapshot = self.base.enabled_by_task(self._config_states[cid])
+            self._base_snaps[cid] = snapshot
+        return snapshot
+
+    def enabled_in_task(self, state: State, task: str) -> Tuple[Action, ...]:
+        return self.enabled_by_task(state).get(task, ())
 
     def enabled_locally(self, state: State) -> Iterable[Action]:
         return self.base.enabled_locally(state)
@@ -238,7 +297,6 @@ class CompiledComposition(CompiledAutomaton):
         #: config = tuple of piece ids -> config id
         self._config_ids: Dict[Tuple[int, ...], int] = {}
         self._config_pids: List[Tuple[int, ...]] = []
-        self._config_states: List[State] = []
         #: action id -> participant component indices
         self._action_parts: List[Tuple[int, ...]] = []
         self._c_piece = cache_counter("compiled.piece")
@@ -305,16 +363,12 @@ class CompiledComposition(CompiledAutomaton):
         # the interpreted path.
         _owner, participants = self.base._dispatch(action)
         self._action_parts.append(participants)
-        self._is_tick.append(action.name == _CHAN_TICK)
 
     # -- Transitions --------------------------------------------------------
 
-    def state_of(self, cid: int) -> State:
-        return self._config_states[cid]
-
     def _transition(self, cid: int, aid: int) -> int:
         pids = list(self._config_pids[cid])
-        action = self.action_of(aid)
+        action = self._action_list[aid]
         components = self.base.components
         pieces = self._pieces
         for k in self._action_parts[aid]:
@@ -342,7 +396,6 @@ class CompiledComposition(CompiledAutomaton):
         self._c_config.evictions += len(self._config_pids)
         self._config_ids.clear()
         self._config_pids.clear()
-        self._config_states.clear()
         self._action_parts.clear()
 
 

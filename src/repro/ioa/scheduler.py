@@ -156,6 +156,8 @@ class SchedulerPolicy(ABC):
         the automaton: its ``enabled_by_task`` hands out the previous
         snapshot when asked about the same state object again, so the
         dict is shared across calls and must be treated as read-only.
+        On the compiled engine the view wraps the compiled core, which
+        answers with the base automaton's own snapshots.
         """
 
     def reset(self) -> None:
@@ -304,14 +306,16 @@ class Scheduler:
         and the only cost is one ``is not None`` test per event; with
         no profiler nothing is wrapped.
     compiled:
-        ``True`` routes :meth:`run` through the compiled core
+        ``True`` makes :meth:`run` drive the compiled core
         (:mod:`repro.compiled`): the automaton is lowered once into
-        interned-id tables (cached per automaton instance) and executed
-        by the array step loop — same executions, same observer/metrics
-        protocol, table-replay speed.  ``False`` forces the interpreted
-        loop; ``None`` (default) defers to the process default
+        interned-id tables (cached per automaton instance) and run by
+        this same step loop, the stock policies swapped for twins that
+        read the tables (:func:`repro.compiled.loop.policy_for`) — same
+        executions, same observer/metrics/profiler protocol,
+        table-replay speed.  ``False`` runs the automaton itself;
+        ``None`` (default) defers to the process default
         (:func:`repro.compiled.config.set_compiled_default`), which is
-        off unless opted into — the interpreted path below remains the
+        off unless opted into — the interpreted engine remains the
         oracle.
 
     Examples
@@ -371,25 +375,22 @@ class Scheduler:
         """
         from repro.compiled.config import resolve_compiled
 
-        if resolve_compiled(self.compiled):
-            from repro.compiled.loop import compiled_run
-
-            return compiled_run(
-                automaton,
-                self.policy,
-                max_steps,
-                injections=injections,
-                stop_when=stop_when,
-                start=start,
-                observer=self.observer,
-                metrics=self._metrics,
-                profiler=self.profiler,
-            )
+        base = automaton
         policy = self.policy
         policy.reset()
         observer = self.observer
         metrics = self._metrics
         prof = self.profiler
+        if resolve_compiled(self.compiled):
+            # The compiled core is driven like any automaton; the stock
+            # policies swap in twins that read its id tables.
+            from repro.compiled import loop
+
+            lower = loop.compile_automaton
+            if prof is not None:
+                lower = prof.timed("compile", lower)
+            automaton = lower(base)
+            policy = loop.policy_for(automaton, policy)
         # The per-step callables, bound once per run (after any
         # class-level patching, so external tracers still see every call).
         choose = policy.choose
@@ -421,7 +422,7 @@ class Scheduler:
         step = 0
         reason = "max-steps"
         if observer is not None:
-            observer.on_run_start(automaton, max_steps)
+            observer.on_run_start(base, max_steps)
         while step < max_steps:
             if stop_when is not None and stop_when(state, step):
                 reason = "stopped"

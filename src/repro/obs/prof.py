@@ -30,12 +30,8 @@ against.  Two halves:
                       actions
     ``compile``       compiled engine: table resolution, booked before the
                       run starts
-    ``intern``        compiled engine: interning the initial configuration
-                      and every transition-table miss (an interpreted
-                      apply on a configuration's first sighting)
     ``unattributed``  once per run: the loop's wall time minus every phase
-                      booked inside it (queue bookkeeping, appends, the
-                      compiled engine's table-hit replays)
+                      booked inside it (queue bookkeeping, appends)
     ================  ====================================================
 
     Every phase carries **two** books: a deterministic call counter
@@ -79,12 +75,14 @@ from typing import Any, Callable, Dict, List, Optional
 #: The profile summary schema identifier.
 PROFILE_SCHEMA = "repro.profile/1"
 
-#: The scheduler step-loop phases, in step order.  ``compile`` and
-#: ``intern`` are booked only by the compiled engine
-#: (:mod:`repro.compiled.loop`), which books no ``snapshot``, ``apply``
-#: or ``chan-tick``: its policy twins read the snapshot tables inside
-#: ``policy``, and a transition-table hit is an inlined dict probe whose
-#: time lands in ``unattributed``.
+#: The scheduler step-loop phases, in step order.  Both engines run the
+#: one loop in :meth:`repro.ioa.scheduler.Scheduler.run` and book the
+#: same phases; only a compiled run books ``compile`` (lowering the
+#: automaton, before the run starts).  On the compiled engine ``apply``
+#: includes a transition-table miss's interpreted apply, and
+#: ``snapshot`` is booked only when a policy without a twin
+#: (:mod:`repro.compiled.loop`) asks for one: the twins read the
+#: snapshot tables inside ``policy``.
 PHASES = (
     "stop-when",
     "snapshot",
@@ -94,7 +92,6 @@ PHASES = (
     "observe",
     "injection",
     "compile",
-    "intern",
     "unattributed",
 )
 

@@ -723,10 +723,9 @@ def _run_timed(spec, instrument) -> ExperimentResult:
 
     The whole timed system (processes + virtual clock + network) is a
     single automaton, so the plain scheduler executes it — including on
-    the compiled engine via the generic
-    :func:`~repro.compiled.tables.compile_automaton` bridge, which
-    ``Scheduler(compiled=True)`` applies to any hashable-state
-    automaton.  Crashes come from the spec's fault pattern plus any
+    the compiled engine, where ``Scheduler(compiled=True)`` lowers any
+    hashable-state automaton with the generic
+    :func:`~repro.compiled.tables.compile_automaton`.  Crashes come from the spec's fault pattern plus any
     ``"at-step"`` crash rules of the fault plan (the event-triggered
     rules need the consensus runner's controller and are rejected
     here); channel drops/duplicates come from the plan via the timed

@@ -48,7 +48,6 @@ class SystemBuilder:
         self.observer = None
         self.metrics = None
         self.profiler = None
-        self.use_enabled_cache: Optional[bool] = None
         self.fault_plan = None
 
     # -- Configuration -----------------------------------------------------
@@ -106,14 +105,6 @@ class SystemBuilder:
         self.fault_plan = plan
         return self
 
-    def without_enabled_cache(self) -> "SystemBuilder":
-        """Build the composition with the incremental enabled/dispatch
-        caches off (brute-force predicate scans every step).  The caches
-        are semantics-preserving — this switch exists for A/B timing and
-        for the CI perf guard's oracle runs."""
-        self.use_enabled_cache = False
-        return self
-
     def with_instrumentation(self, instrument) -> "SystemBuilder":
         """Attach instrumentation (the unified ``instrument=`` convention,
         :mod:`repro.obs.instrument`): the observer half is notified by
@@ -156,11 +147,7 @@ class SystemBuilder:
         if self.environment is not None:
             components.append(self.environment)
         components.extend(self.extra)
-        composition = Composition(
-            components,
-            name="system",
-            use_enabled_cache=self.use_enabled_cache,
-        )
+        composition = Composition(components, name="system")
         if self.metrics is not None:
             composition.attach_metrics(self.metrics)
             for channel in channels:

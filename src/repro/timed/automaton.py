@@ -27,8 +27,8 @@ against the implementation's *target AFD* (:meth:`afd`).
 
 Because states are plain nested tuples, the automaton is also
 compiled-path compatible: :class:`~repro.ioa.scheduler.Scheduler` with
-``compiled=True`` lowers it through the generic
-:func:`~repro.compiled.tables.compile_automaton` bridge and replays
+``compiled=True`` lowers it with the generic
+:func:`~repro.compiled.tables.compile_automaton` and replays it
 bit-for-bit.
 """
 

@@ -324,8 +324,8 @@ class TaggedTreeGraph:
             if label != FD_LABEL
         ]
         # The loop below is the E12/E13 hot path: core internals and
-        # counters are hoisted into locals, and the apply-memo hit path
-        # is inlined (same tallies as ``core.apply_ids``).
+        # counters are hoisted into locals, and the apply-memo probe is
+        # inlined (same tallies as ``core.apply``).
         edges = self.edges
         canonical = self._vertices
         max_vertices = self.max_vertices

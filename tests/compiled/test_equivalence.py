@@ -9,6 +9,7 @@ paths over the same inputs and diff the full executions.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 
 import pytest
@@ -16,16 +17,22 @@ from hypothesis import given, settings, strategies as st
 
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
 from repro.analysis.checkers import run_consensus_experiment
+from repro.compiled.loop import policy_for
+from repro.compiled.tables import compile_automaton
 from repro.detectors.registry import resolve_detector
 from repro.faults.plan import ChannelFaults, CrashRule, FaultPlan
 from repro.ioa.scheduler import (
+    AdversarialPolicy,
     Injection,
     RandomPolicy,
     RoundRobinPolicy,
     Scheduler,
 )
+from repro.problems.bounded import MaskedRoundRobinPolicy
 from repro.runner.spec import ExperimentSpec, run_spec
+from repro.system.environment import ScriptedConsensusEnvironment
 from repro.system.fault_pattern import crash_action
+from repro.system.network import SystemBuilder
 
 LOCS = (0, 1, 2)
 
@@ -90,6 +97,137 @@ class TestSchedulerEquivalence:
             injections=injections,
         )
         assert_executions_identical(interp, comp)
+
+
+def consensus_system():
+    """A fresh omega-consensus composition (channels, crash automaton,
+    detector and environment included)."""
+    return (
+        SystemBuilder(LOCS)
+        .with_algorithm(omega_consensus_algorithm(LOCS))
+        .with_failure_detector(resolve_detector("omega", LOCS).automaton())
+        .with_environment(ScriptedConsensusEnvironment({0: 0, 1: 1, 2: 1}))
+        .build()
+        .composition
+    )
+
+
+def evp_detector():
+    return resolve_detector("evp", LOCS).automaton()
+
+
+AUTOMATA = pytest.mark.parametrize(
+    "automaton_factory",
+    [evp_detector, consensus_system],
+    ids=["detector", "composition"],
+)
+CRASHES = [
+    Injection(step=12, action=crash_action(2)),
+    Injection(step=30, action=crash_action(0)),
+]
+
+
+class ChooserLog:
+    """An adversary's chooser that records every call; it picks the
+    greatest action of the last enabled task every ``every`` steps and
+    abstains otherwise (``every=0``: always abstains)."""
+
+    def __init__(self, every: int):
+        self.every = every
+        self.calls = []
+
+    def __call__(self, state, options, step):
+        self.calls.append((state, list(options), step))
+        if self.every and step % self.every == 0:
+            return max(options[-1][1])
+        return None
+
+
+class RoundRobinSubclass(RoundRobinPolicy):
+    """Identical behaviour, different type: runs as a generic policy
+    against the compiled core, not as the round-robin twin."""
+
+
+class TestPolicyPaths:
+    """Every way a compiled run can choose: the three twins, a generic
+    policy reading the core like any automaton, and a ``start=`` state
+    the core has not handed out."""
+
+    @AUTOMATA
+    @pytest.mark.parametrize("every", [0, 3], ids=["abstaining", "choosing"])
+    def test_adversarial_policy(self, automaton_factory, every):
+        interp_log, comp_log = ChooserLog(every), ChooserLog(every)
+        interp = Scheduler(AdversarialPolicy(interp_log), compiled=False).run(
+            automaton_factory(), max_steps=150, injections=CRASHES
+        )
+        comp = Scheduler(AdversarialPolicy(comp_log), compiled=True).run(
+            automaton_factory(), max_steps=150, injections=CRASHES
+        )
+        assert_executions_identical(interp, comp)
+        # The chooser saw the same states, options lists and steps.
+        assert comp_log.calls == interp_log.calls
+        assert len(comp_log.calls) > 100
+
+    @AUTOMATA
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [
+            lambda: MaskedRoundRobinPolicy(lambda task: not task.endswith("[1]")),
+            RoundRobinSubclass,
+        ],
+        ids=["masked", "round-robin-subclass"],
+    )
+    def test_generic_policy_over_the_core(
+        self, automaton_factory, policy_factory
+    ):
+        core = compile_automaton(automaton_factory())
+        policy = policy_factory()
+        assert policy_for(core, policy) is policy
+        interp, comp = run_both(
+            automaton_factory, policy_factory, max_steps=150,
+            injections=CRASHES,
+        )
+        assert_executions_identical(interp, comp)
+
+    @AUTOMATA
+    @pytest.mark.parametrize(
+        "policy_factory",
+        [RoundRobinPolicy, lambda: RandomPolicy(seed=5), RoundRobinSubclass],
+        ids=["round-robin", "random", "round-robin-subclass"],
+    )
+    def test_start_state(self, automaton_factory, policy_factory):
+        # An equal-by-value copy of a reachable state: the compiled
+        # core has never handed out this object.
+        reached = Scheduler(compiled=False).run(
+            automaton_factory(), max_steps=25, injections=CRASHES[:1]
+        ).final_state
+        executions = [
+            Scheduler(policy_factory(), compiled=compiled).run(
+                automaton_factory(),
+                max_steps=60,
+                injections=CRASHES[1:],
+                start=copy.deepcopy(reached),
+            )
+            for compiled in (False, True)
+        ]
+        assert_executions_identical(*executions)
+        assert executions[0].states[0] == reached
+
+    @AUTOMATA
+    def test_reused_round_robin_policy_keeps_its_cursor(
+        self, automaton_factory
+    ):
+        cursors = {}
+        for compiled in (False, True):
+            policy = RoundRobinPolicy()
+            scheduler = Scheduler(policy, compiled=compiled)
+            automaton = automaton_factory()
+            cursors[compiled] = []
+            for max_steps in (37, 52):
+                scheduler.run(automaton, max_steps=max_steps)
+                cursors[compiled].append(policy._cursor)
+        assert cursors[True] == cursors[False]
+        assert any(cursors[False])
 
 
 def spec_pair(spec):

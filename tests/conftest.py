@@ -45,7 +45,12 @@ def _automaton_classes(cls=Automaton):
 @pytest.fixture
 def snapshot_calls(monkeypatch):
     """Counts ``enabled_by_task`` calls per defining class, wherever the
-    call comes from (policies, compiled snapshot tables, bridges)."""
+    call comes from (policies, compiled snapshot tables, the compiled
+    core)."""
+    # Only classes that exist can be patched: load every subsystem, or a
+    # test run on its own would miss the lazily imported timed automata.
+    import repro.api  # noqa: F401
+
     calls = Counter()
     for cls in set(_automaton_classes()):
         original = cls.__dict__.get("enabled_by_task")

@@ -313,14 +313,6 @@ class TestEnabledCacheLayer:
         # Behaviour is still correct after the clear.
         assert c.enabled_by_task((0, 0)) == {"pinger:main": (PING,)}
 
-    def test_system_builder_toggle(self):
-        from repro.system.network import SystemBuilder
-
-        builder = SystemBuilder((0, 1))
-        assert builder.use_enabled_cache is None
-        assert builder.without_enabled_cache() is builder
-        assert builder.use_enabled_cache is False
-
 
 class TestDispatchClassification:
     """The first-sighting dispatch scan classifies each component once:

@@ -5,6 +5,9 @@ event ``on_step_scheduled`` followed by ``on_action`` (with a correct
 ``injected`` flag), then ``on_run_end`` exactly once with the stop
 reason.  Disabled injections — both at their due step and when
 fast-forwarded past a quiescent state — must raise, not be dropped.
+Both engines run the one step loop in ``Scheduler.run``; each class
+runs again on the compiled engine through a subclass that sets
+``compiled = True``, with the same expectations and messages.
 """
 
 import pytest
@@ -60,10 +63,20 @@ class RecordingObserver(Observer):
         self.calls.append(("run-end", steps, reason))
 
 
-class TestObserverHooks:
+class _OnEngine:
+    """The engine a test class runs on: ``None`` is the process default
+    (interpreted); the ``...Compiled`` subclasses below set ``True``."""
+
+    compiled = None
+
+    def scheduler(self, **kwargs):
+        return Scheduler(compiled=self.compiled, **kwargs)
+
+
+class TestObserverHooks(_OnEngine):
     def test_notification_order_and_flags(self):
         obs = RecordingObserver()
-        Scheduler(instrument=obs).run(
+        self.scheduler(instrument=obs).run(
             machine(), 3, injections=[Injection(1, IN_A)]
         )
         assert obs.calls == [
@@ -79,12 +92,12 @@ class TestObserverHooks:
 
     def test_run_end_reason_quiescent(self):
         obs = RecordingObserver()
-        Scheduler(instrument=obs).run(machine(limit=2), 10)
+        self.scheduler(instrument=obs).run(machine(limit=2), 10)
         assert obs.calls[-1] == ("run-end", 2, "quiescent")
 
     def test_run_end_reason_stopped(self):
         obs = RecordingObserver()
-        Scheduler(instrument=obs).run(
+        self.scheduler(instrument=obs).run(
             machine(), 10, stop_when=lambda s, step: len(s) >= 4
         )
         assert obs.calls[-1] == ("run-end", 4, "stopped")
@@ -92,15 +105,15 @@ class TestObserverHooks:
         assert ("step", 4) not in obs.calls
 
     def test_no_observer_produces_same_execution(self):
-        plain = Scheduler().run(machine(), 5, injections=[Injection(2, IN_A)])
-        observed = Scheduler(instrument=RecordingObserver()).run(
+        plain = self.scheduler().run(machine(), 5, injections=[Injection(2, IN_A)])
+        observed = self.scheduler(instrument=RecordingObserver()).run(
             machine(), 5, injections=[Injection(2, IN_A)]
         )
         assert list(plain.actions) == list(observed.actions)
 
     def test_run_observer_fast_forwarded_injection_flagged(self):
         obs = RecordingObserver()
-        Scheduler(instrument=obs).run(
+        self.scheduler(instrument=obs).run(
             machine(limit=1), 10, injections=[Injection(5, IN_A)]
         )
         actions = [c for c in obs.calls if c[0] == "action"]
@@ -110,23 +123,31 @@ class TestObserverHooks:
         ]
 
 
-class TestDisabledInjectionRaises:
+class TestDisabledInjectionRaises(_OnEngine):
     def test_due_injection_not_enabled_raises(self):
         with pytest.raises(ValueError, match="not enabled"):
-            Scheduler().run(machine(), 5, injections=[Injection(2, NEVER)])
+            self.scheduler().run(machine(), 5, injections=[Injection(2, NEVER)])
 
     def test_fast_forwarded_injection_not_enabled_raises(self):
         # Local work dries up at step 1; the scheduler fast-forwards to
         # the pending injection, which is not enabled either.
         with pytest.raises(ValueError, match="fast-forwarded"):
-            Scheduler().run(
+            self.scheduler().run(
                 machine(limit=1), 10, injections=[Injection(7, NEVER)]
             )
 
     def test_error_does_not_fire_run_end(self):
         obs = RecordingObserver()
         with pytest.raises(ValueError):
-            Scheduler(instrument=obs).run(
+            self.scheduler(instrument=obs).run(
                 machine(), 5, injections=[Injection(0, NEVER)]
             )
         assert not any(c[0] == "run-end" for c in obs.calls)
+
+
+class TestObserverHooksCompiled(TestObserverHooks):
+    compiled = True
+
+
+class TestDisabledInjectionRaisesCompiled(TestDisabledInjectionRaises):
+    compiled = True

@@ -4,7 +4,10 @@ The three satellite properties of the timed layer:
 
 (a) bounded delay + bounded heartbeat period  =>  the adaptive
     heartbeat detector's trace is ◇P-conformant (and the grid's other
-    implementations conform under their own realizability conditions);
+    implementations conform under their own realizability conditions).
+    ◇P is pure liveness, so a finite run judges it at a horizon: a
+    liveness verdict is re-judged at doubled horizons, while a safety
+    verdict fails at once;
 (b) unbounded delay (geometric growth)  =>  conformance fails, and the
     oracle's reported first-violation index is exactly right — a
     liveness failure indexes the end of the trace, a safety failure
@@ -17,13 +20,15 @@ from __future__ import annotations
 
 import dataclasses
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.cache import ResultStore
 from repro.faults.oracles import AfdValidityOracle
 from repro.ioa.scheduler import Scheduler
 from repro.runner import BatchRunner, ExperimentSpec, run_spec, sweep
+from repro.runner.seeds import derive_seed
 from repro.system.fault_pattern import FaultPattern
+from repro.timed.params import DelayModel, TimedParams
 from repro.timed.registry import build_automaton
 
 from tests.timed.strategies import (
@@ -36,6 +41,8 @@ from tests.timed.strategies import (
 LOCS = (0, 1, 2)
 CRASHES = {2: 40 * STEPS_PER_TICK_3LOC}
 MAX_STEPS = 150 * STEPS_PER_TICK_3LOC
+#: How often a liveness verdict is re-judged at double the horizon.
+HORIZON_DOUBLINGS = 3
 
 
 def timed_spec(impl, params, seed, **overrides):
@@ -54,12 +61,13 @@ def timed_spec(impl, params, seed, **overrides):
 
 
 def judged_trace(spec):
-    """(trace, verdict) of one spec, bypassing the runner's packaging."""
+    """(trace, verdict) of the run ``run_spec(spec)`` judges, bypassing
+    the runner's packaging: the same network seed and liveness bound."""
     automaton = build_automaton(
         spec.detector,
         spec.locations,
         params=spec.resolve_timed(),
-        seed=spec.seed,
+        seed=derive_seed(spec.seed, "timed-net"),
     )
     execution = Scheduler().run(
         automaton,
@@ -67,8 +75,25 @@ def judged_trace(spec):
         injections=FaultPattern(spec.crashes).injections(),
     )
     trace = list(execution.trace(automaton))
-    verdict = AfdValidityOracle(automaton.afd()).check(trace)
+    verdict = AfdValidityOracle(
+        automaton.afd(), spec.min_live_outputs
+    ).check(trace)
     return trace, verdict
+
+
+def assert_conformant_within_doublings(spec):
+    """``spec`` conforms at its horizon or at one of
+    :data:`HORIZON_DOUBLINGS` doubled horizons; every verdict before
+    that must be liveness (indexed at the trace end), never safety."""
+    for _ in range(HORIZON_DOUBLINGS):
+        result = run_spec(spec)
+        if result.fd_ok:
+            return
+        trace, verdict = judged_trace(spec)
+        assert verdict.violation_index == len(trace), result.conformance
+        spec = dataclasses.replace(spec, max_steps=2 * spec.max_steps)
+    result = run_spec(spec)
+    assert result.fd_ok, result.conformance
 
 
 class TestBoundedDelayImpliesConformance:
@@ -76,10 +101,26 @@ class TestBoundedDelayImpliesConformance:
 
     @settings(max_examples=15, deadline=None)
     @given(params=bounded_timing(), seed=run_seeds())
+    # At this corner of the grid location 0's timeout for peer 1 is
+    # still climbing near the end of a 600-step run: the verdict at
+    # MAX_STEPS is liveness (2 outputs after the last violation, 3
+    # needed), and the run conforms at 1,200 steps.
+    @example(
+        params=TimedParams(
+            heartbeat_period=3,
+            timeout=1,
+            timeout_bump=1,
+            lease=1,
+            delay=DelayModel(base=2, jitter=3),
+        ),
+        seed=4485191,
+    )
     def test_heartbeat_is_eventually_perfect(self, params, seed):
-        # Any bounded grid point: the adaptive bump must win the race.
-        result = run_spec(timed_spec("heartbeat", params, seed))
-        assert result.fd_ok, result.conformance
+        # Any bounded grid point: the adaptive bump must win the race,
+        # though not always by a fixed horizon.
+        assert_conformant_within_doublings(
+            timed_spec("heartbeat", params, seed)
+        )
 
     @settings(max_examples=10, deadline=None)
     @given(params=bounded_timing(), seed=run_seeds())
