@@ -42,7 +42,7 @@ def distinct_decisions(rounds, crashes):
         .build()
     )
 
-    def settled(state, _step):
+    def settled(state):
         crashed = system.crashed(state)
         return all(
             i in crashed

@@ -55,7 +55,7 @@ def run_kset():
         .build()
     )
 
-    def settled(state, _step):
+    def settled(state):
         crashed = system.crashed(state)
         return all(
             i in crashed

@@ -75,7 +75,7 @@ def _lemma23_rows():
         name="SPD",
     )
 
-    def both_live_decided(state, _step):
+    def both_live_decided(state):
         return all(
             PerfectConsensusProcess.decision(
                 system.component_state(state, algorithm[i])

@@ -61,7 +61,7 @@ def main() -> None:
         .build()
     )
 
-    def settled(state, _step):
+    def settled(state):
         crashed = system.crashed(state)
         return all(
             i in crashed

@@ -66,7 +66,7 @@ Sweeps fan out across cores with the same results as a serial run:
 True
 """
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 
 # Lazy facade (PEP 562): ``repro.<name>`` resolves through repro.api on

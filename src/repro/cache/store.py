@@ -21,7 +21,7 @@ Each object file is the pickle of one *entry* dict::
     {"schema": "repro.cache/1",
      "key": "sha256:<hex>",          # digest of the identity below
      "identity": {...},              # the canonical JSON-ready preimage
-     "repro_version": "1.9.0",
+     "repro_version": "1.10.0",
      "engine": "step-loop/1",
      "payload_sha256": "sha256:<hex>",  # digest of the payload bytes
      "payload": b"..."}              # the pickled result, verbatim

@@ -113,24 +113,21 @@ class CompiledAutomaton(Automaton):
 
     def intern_config(self, state: State) -> int:
         """The id of a full automaton state, building its enabled
-        snapshot on first sighting."""
-        fresh = len(self._states)
-        sid = self._states.intern(state)
-        if sid == fresh:
-            self._config_states.append(state)
+        snapshot on first sighting, before the id is assigned."""
+        if state not in self._states:
             self._build_snapshot(state)
-        return sid
+            self._config_states.append(state)
+        return self._states.intern(state)
 
     def intern_action(self, action: Action) -> int:
         """The id of an action, running the interpreted dispatch scan on
-        first sighting (so dispatch errors surface exactly as they do on
-        the interpreted path)."""
-        fresh = len(self._actions)
-        aid = self._actions.intern(action)
-        if aid == fresh:
-            self._action_list.append(action)
+        first sighting, before the id is assigned: a dispatch error
+        leaves no trace in the tables, so it surfaces on every sighting
+        exactly as it does on the interpreted path."""
+        if action not in self._actions:
             self._register_action(action)
-        return aid
+            self._action_list.append(action)
+        return self._actions.intern(action)
 
     def _build_snapshot(self, state: State) -> None:
         full: List[Optional[Tuple[int, ...]]] = [None] * len(self.task_names)
@@ -318,9 +315,8 @@ class CompiledComposition(CompiledAutomaton):
             self._c_piece.hits += 1
             return pid
         self._c_piece.misses += 1
-        pid = len(self._pieces[index])
-        ids[piece] = pid
-        self._pieces[index].append(piece)
+        # The groups intern actions, which may raise: build them before
+        # the piece gets an id.
         component = self.base.components[index]
         prefix = component.name + self.base.TASK_SEPARATOR
         groups = tuple(
@@ -330,6 +326,9 @@ class CompiledComposition(CompiledAutomaton):
             )
             for local, actions in component.enabled_by_task(piece).items()
         )
+        pid = len(self._pieces[index])
+        ids[piece] = pid
+        self._pieces[index].append(piece)
         self._piece_groups[index].append(groups)
         return pid
 
@@ -358,9 +357,9 @@ class CompiledComposition(CompiledAutomaton):
     def _register_action(self, action: Action) -> None:
         # The interpreted dispatch scan is the authority: it performs the
         # lazy one-output-owner compatibility check and raises
-        # CompositionError on ambiguity *before* an id is assigned, so an
-        # ambiguous action keeps raising on every sighting, exactly as on
-        # the interpreted path.
+        # CompositionError on ambiguity.  ``intern_action`` calls this
+        # before it assigns an id, so an ambiguous action keeps raising
+        # on every sighting, exactly as on the interpreted path.
         _owner, participants = self.base._dispatch(action)
         self._action_parts.append(participants)
 

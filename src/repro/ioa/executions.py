@@ -140,11 +140,24 @@ class Execution:
     ``states[k]`` is the state before ``actions[k]``; ``states[-1]`` is the
     final state.  A null execution fragment contains a single state and no
     actions.
+
+    ``lasso`` is ``(mu, period)`` when the scheduler closed the run (see
+    :meth:`repro.ioa.scheduler.Scheduler.run`): from step ``mu`` on the
+    run repeats its steps ``mu .. mu + period - 1`` forever, so the
+    fragment is a prefix of the fair execution prefix . cycle^omega.  It
+    is a note about how the run was produced, not part of its value:
+    equality and hashing ignore it, and :meth:`prefix`, :meth:`concat`
+    and :meth:`extend` drop it.
     """
 
-    __slots__ = ("_states", "_actions")
+    __slots__ = ("_states", "_actions", "_lasso")
 
-    def __init__(self, states: Iterable[State], actions: Iterable[Action]):
+    def __init__(
+        self,
+        states: Iterable[State],
+        actions: Iterable[Action],
+        lasso: Optional[Tuple[int, int]] = None,
+    ):
         self._states: Tuple[State, ...] = tuple(states)
         self._actions: Tuple[Action, ...] = tuple(actions)
         if len(self._states) != len(self._actions) + 1:
@@ -152,6 +165,7 @@ class Execution:
                 f"an execution with {len(self._actions)} actions needs "
                 f"{len(self._actions) + 1} states, got {len(self._states)}"
             )
+        self._lasso = lasso
 
     # -- Accessors -----------------------------------------------------------
 
@@ -162,6 +176,11 @@ class Execution:
     @property
     def actions(self) -> Tuple[Action, ...]:
         return self._actions
+
+    @property
+    def lasso(self) -> Optional[Tuple[int, int]]:
+        """``(mu, period)`` of a closed run, else ``None``."""
+        return self._lasso
 
     @property
     def first_state(self) -> State:

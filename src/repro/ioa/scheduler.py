@@ -65,6 +65,37 @@ def _timed_apply(prof, apply):
     return timed_apply
 
 
+def _close(states, actions, cursors, quiet, period, max_steps, observer):
+    """Finish a run whose (state, cursor) pair just recurred after
+    ``period`` steps, with nothing queued since step ``quiet``.
+
+    From there on each step repeats the step ``period`` earlier, so the
+    remaining events are the last ``period`` ones repeated, appended by
+    list repetition; the observer hears each replayed step as if it had
+    fired.  Returns the run's lasso ``(mu, period)`` and the cursor the
+    full run would end on.  ``mu`` is the least step from ``quiet`` whose
+    pair recurs ``period`` steps later: where the cycle starts.
+    """
+    t = len(actions)
+    begin = t - period
+    mu = next(
+        i
+        for i in range(quiet, begin + 1)
+        if cursors[i] == cursors[i + period]
+        and (states[i] is states[i + period] or states[i] == states[i + period])
+    )
+    repeats, extra = divmod(max_steps - t, period)
+    cycle = actions[begin:]
+    actions += cycle * repeats + cycle[:extra]
+    cycle = states[begin + 1 :]
+    states += cycle * repeats + cycle[:extra]
+    if observer is not None:
+        for k in range(t, max_steps):
+            observer.on_step_scheduled(k)
+            observer.on_action(k, actions[k], False)
+    return (mu, period), cursors[begin + extra]
+
+
 #: Matches no state: a fresh view has answered for nothing yet.
 _NO_STATE = object()
 
@@ -169,7 +200,10 @@ class RoundRobinPolicy(SchedulerPolicy):
 
     Every task is offered a turn once per cycle, so maximal runs under this
     policy are fair.  Within a task, the least action (actions order
-    lexicographically) is chosen, making runs fully deterministic.
+    lexicographically) is chosen, making runs fully deterministic: the
+    next step is a function of the state and ``_cursor`` alone, which is
+    why :meth:`Scheduler.run` can close a run of this exact type once
+    that pair repeats.
     """
 
     def __init__(self) -> None:
@@ -297,9 +331,9 @@ class Scheduler:
         per-phase costs through timing wrappers around the callables
         :meth:`run` binds once per run (``policy.choose``, ``apply``,
         the injection ``enabled`` check, ``stop_when``, the observer's
-        hooks, and the automaton's ``enabled_by_task``, so ``snapshot``
-        books only the snapshots the run computes) — the same loop,
-        identical executions; an
+        hooks, the automaton's ``enabled_by_task``, so ``snapshot``
+        books only the snapshots the run computes, and the replay of a
+        closed run) — the same loop, identical executions; an
         :class:`~repro.obs.instrument.Instrumentation` bundle; or a tuple
         of those.  ``None`` (the default) keeps the hot loop free of
         tracing work: no observer means no per-step object is allocated
@@ -357,13 +391,13 @@ class Scheduler:
         automaton: Automaton,
         max_steps: int,
         injections: Iterable[Injection] = (),
-        stop_when: Optional[Callable[[State, int], bool]] = None,
+        stop_when: Optional[Callable[[State], bool]] = None,
         start: Optional[State] = None,
     ) -> Execution:
         """Produce an execution of at most ``max_steps`` events.
 
         The run ends early if the system quiesces (no task enabled and no
-        injection pending) or ``stop_when(state, step)`` returns True.
+        injection pending) or ``stop_when(state)`` returns True.
         Injections scheduled at steps beyond the end of the run are
         silently dropped (the adversary chose not to act in time).
 
@@ -372,6 +406,20 @@ class Scheduler:
         it last answered for (``apply`` returned its state unchanged, or
         the policy asks twice in a step), it returns that snapshot
         instead of asking the automaton again.
+
+        A run under a :class:`RoundRobinPolicy` (that exact type), with
+        nothing queued and no metrics registry attached, is *closed*
+        once its (state, cursor) pair repeats (Brent's cycle detection,
+        tested ``is`` before ``==``): the next step is a function of
+        that pair, so the rest of the run is the cycle again.  Its
+        remaining events are appended by list repetition, the observer
+        hears every replayed step, the cursor ends where the full run
+        would leave it, and the execution records its lasso ``(mu,
+        period)`` (:attr:`Execution.lasso`): the fair execution prefix .
+        cycle^omega (Section 2.4).  ``stop_when`` was false on every
+        cycle state, so the run still ends ``"max-steps"``.  A metrics
+        registry blocks closure because the composition and the chaos
+        channels count every apply; observers and profilers do not.
         """
         from repro.compiled.config import resolve_compiled
 
@@ -406,6 +454,7 @@ class Scheduler:
                 stop_when = prof.timed("stop-when", stop_when)
             if observer is not None:
                 observer = prof.observer(observer)
+        close = _close if prof is None else prof.timed("replay", _close)
         view = _SnapshotReuse(automaton, enabled_by_task)
         wall_start = time.perf_counter() if metrics is not None else 0.0
         cache_base = cache_stats_snapshot() if metrics is not None else {}
@@ -421,10 +470,22 @@ class Scheduler:
         actions: List[Action] = []
         step = 0
         reason = "max-steps"
+        # Lasso detection (Brent): the cursor before each step, and the
+        # tortoise pair laid at step ``mark``, compared with every later
+        # pair until step ``mark_end`` lays the next one.  While anything
+        # is queued the tortoise is dropped (cursor -1 matches nothing);
+        # ``quiet`` is the step where the queue emptied.  ``reset`` put
+        # the cursor at 0.
+        rr = self.policy
+        watch = type(rr) is RoundRobinPolicy and metrics is None
+        cursors = [0]
+        mark_state, mark_cursor = state, -1 if pending else 0
+        mark = quiet = period = 0
+        mark_end = window = 1
         if observer is not None:
             observer.on_run_start(base, max_steps)
         while step < max_steps:
-            if stop_when is not None and stop_when(state, step):
+            if stop_when is not None and stop_when(state):
                 reason = "stopped"
                 break
             if observer is not None:
@@ -473,10 +534,36 @@ class Scheduler:
             if observer is not None:
                 observer.on_action(step, action, injected)
             step += 1
+            if watch:
+                cursor = rr._cursor
+                cursors.append(cursor)
+                if cursor == mark_cursor and (
+                    state is mark_state or state == mark_state
+                ):
+                    period = step - mark
+                    break
+                if step == mark_end:
+                    mark = step
+                    if pending:
+                        mark_end = step + 1
+                    else:
+                        if mark_cursor < 0:
+                            quiet = step
+                        mark_state, mark_cursor = state, cursor
+                        window *= 2
+                        mark_end = step + window
+        lasso = None
+        replayed = 0
+        if period:
+            replayed = max_steps - step
+            lasso, rr._cursor = close(
+                states, actions, cursors, quiet, period, max_steps, observer
+            )
+            step = max_steps
         if observer is not None:
             observer.on_run_end(step, reason)
         if prof is not None:
-            prof.on_run_end(step, queued - _queued(pending))
+            prof.on_run_end(step, queued - _queued(pending), replayed)
         if metrics is not None:
             metrics.counter("scheduler.runs").inc()
             metrics.counter("scheduler.steps").inc(step)
@@ -484,7 +571,7 @@ class Scheduler:
                 time.perf_counter() - wall_start
             )
             _export_cache_metrics(metrics, cache_base)
-        return Execution(states, actions)
+        return Execution(states, actions, lasso=lasso)
 
     def run_to_quiescence(
         self,

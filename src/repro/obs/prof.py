@@ -17,7 +17,7 @@ against.  Two halves:
 
     ================  ====================================================
     ``stop-when``     the run's ``stop_when`` predicate, evaluated before
-                      every step when one is given
+                      every executed step when one is given
     ``snapshot``      the per-step enabled-by-task snapshot (Section 2.2
                       enabledness over the composed signature)
     ``policy``        the scheduler policy's choice among enabled tasks
@@ -30,6 +30,9 @@ against.  Two halves:
                       actions
     ``compile``       compiled engine: table resolution, booked before the
                       run starts
+    ``replay``        once per closed run: extending it by repeating its
+                      cycle (the observer's replayed hooks are booked
+                      under ``observe``)
     ``unattributed``  once per run: the loop's wall time minus every phase
                       booked inside it (queue bookkeeping, appends)
     ================  ====================================================
@@ -78,7 +81,8 @@ PROFILE_SCHEMA = "repro.profile/1"
 #: The scheduler step-loop phases, in step order.  Both engines run the
 #: one loop in :meth:`repro.ioa.scheduler.Scheduler.run` and book the
 #: same phases; only a compiled run books ``compile`` (lowering the
-#: automaton, before the run starts).  On the compiled engine ``apply``
+#: automaton, before the run starts), and only a closed run books
+#: ``replay`` (repeating its cycle).  On the compiled engine ``apply``
 #: includes a transition-table miss's interpreted apply, and
 #: ``snapshot`` is booked only when a policy without a twin
 #: (:mod:`repro.compiled.loop`) asks for one: the twins read the
@@ -92,6 +96,7 @@ PHASES = (
     "observe",
     "injection",
     "compile",
+    "replay",
     "unattributed",
 )
 
@@ -268,6 +273,7 @@ class StepProfiler:
         self.phase_wall_s: Dict[str, float] = {}
         self.runs = 0
         self.steps = 0
+        self.replayed = 0
         self.injections = 0
         self.states_touched = 0
         self._cache_base = cache_stats_snapshot()
@@ -334,15 +340,20 @@ class StepProfiler:
         self._run_booked = self.wall_s
         self._run_t0 = self.clock()
 
-    def on_run_end(self, steps: int, injections: int) -> None:
+    def on_run_end(self, steps: int, injections: int, replayed: int = 0) -> None:
         """Close the run opened by :meth:`on_run_start`, booking its
-        wall time minus the phases booked inside it as ``unattributed``."""
+        wall time minus the phases booked inside it as ``unattributed``.
+
+        ``steps`` counts the whole run; ``replayed`` of them repeated a
+        closed run's cycle, so ``steps - replayed`` were executed."""
         wall = self.clock() - self._run_t0
         self.add("unattributed", wall - (self.wall_s - self._run_booked))
         self.steps += steps
+        self.replayed += replayed
         self.injections += injections
-        # Every fired step touches one fresh state (plus the initial one
-        # per run, counted here so the tally is exact, not off by #runs).
+        # Every step, replayed or not, adds one state to the execution
+        # (plus the initial one per run, counted here so the tally is
+        # exact, not off by #runs).
         self.states_touched += steps + 1
 
     def reset(self) -> None:
@@ -351,6 +362,7 @@ class StepProfiler:
         self.phase_wall_s = {}
         self.runs = 0
         self.steps = 0
+        self.replayed = 0
         self.injections = 0
         self.states_touched = 0
         self._cache_base = cache_stats_snapshot()
@@ -380,6 +392,7 @@ class StepProfiler:
             "created_unix": int(self.now_fn()),
             "counters": {
                 "injections": self.injections,
+                "replayed": self.replayed,
                 "runs": self.runs,
                 "states_touched": self.states_touched,
                 "steps": self.steps,

@@ -145,12 +145,12 @@ def find_quiescent_execution(
     probe_steps: int = 300,
     allowed_task: Optional[Callable[[str], bool]] = None,
     channels_empty: Optional[Callable[[State], bool]] = None,
-    settle_when: Optional[Callable[[State, int], bool]] = None,
+    settle_when: Optional[Callable[[State], bool]] = None,
 ) -> QuiescenceReport:
     """Lemma 23, executably, in two phases.
 
     Phase 1 (only when ``settle_when`` is given): run the *full* system —
-    failure detector included — until ``settle_when(state, step)`` holds;
+    failure detector included — until ``settle_when(state)`` holds;
     this reproduces Proposition 22's maximal-output execution alpha_f.
     Phase 2: continue under a scheduler masked to ``allowed_task`` (which
     excludes never-quiescing components such as detectors) until nothing

@@ -608,7 +608,7 @@ def _run_consensus(
     if policy is None:
         policy = spec.build_policy()
 
-    def everyone_settled(state, _step) -> bool:
+    def everyone_settled(state) -> bool:
         """Every location has either decided or actually crashed.
 
         Judging liveness from the *run state* (not the fault plan)

@@ -206,7 +206,7 @@ class System:
         max_steps: int,
         fault_pattern: Optional[FaultPattern] = None,
         policy: Optional[SchedulerPolicy] = None,
-        stop_when: Optional[Callable[[State, int], bool]] = None,
+        stop_when: Optional[Callable[[State], bool]] = None,
         extra_injections: Iterable[Injection] = (),
         observer=None,
         instrument=None,

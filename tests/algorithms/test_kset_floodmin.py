@@ -26,7 +26,7 @@ def run_floodmin(locations, k, f, crashes, proposals=None, steps=15000):
     )
     pattern = FaultPattern(crashes, locations)
 
-    def settled(state, _step):
+    def settled(state):
         crashed = system.crashed(state)
         return all(
             i in crashed

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -21,6 +22,9 @@ from repro.compiled.loop import policy_for
 from repro.compiled.tables import compile_automaton
 from repro.detectors.registry import resolve_detector
 from repro.faults.plan import ChannelFaults, CrashRule, FaultPlan
+from repro.ioa.actions import Action
+from repro.ioa.automaton import FunctionalAutomaton
+from repro.ioa.composition import Composition, CompositionError
 from repro.ioa.scheduler import (
     AdversarialPolicy,
     Injection,
@@ -28,6 +32,7 @@ from repro.ioa.scheduler import (
     RoundRobinPolicy,
     Scheduler,
 )
+from repro.ioa.signature import FiniteActionSet, PredicateActionSet, Signature
 from repro.problems.bounded import MaskedRoundRobinPolicy
 from repro.runner.spec import ExperimentSpec, run_spec
 from repro.system.environment import ScriptedConsensusEnvironment
@@ -326,3 +331,57 @@ class TestDelegateEquivalence:
         assert interp.decisions == comp.decisions
         assert interp.steps == comp.steps
         assert list(interp.execution.actions) == list(comp.execution.actions)
+
+
+class TestFirstSightingErrors:
+    """An error on a first sighting leaves nothing half-registered in
+    the tables, so every later run raises it again."""
+
+    SHARED = Action("shared", 0)
+
+    def claimer(self, name, enables):
+        shared = self.SHARED
+        return FunctionalAutomaton(
+            name=name,
+            signature=Signature(
+                outputs=PredicateActionSet(
+                    lambda a: a.name == "shared", "shared claimer"
+                )
+            ),
+            initial=0,
+            transition=lambda s, a: s,
+            enabled_fn=(lambda s: [shared]) if enables else (lambda s: []),
+        )
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_every_run_raises_the_interpreted_error(self, compiled):
+        # Predicate signatures escape the constructor's enumerable
+        # check; the first sighting of shared()_0 is in a snapshot.
+        composition = Composition(
+            [self.claimer("left", True), self.claimer("right", False)]
+        )
+        message = re.escape(
+            f"action {self.SHARED} is locally controlled by several "
+            "components: ['left', 'right']"
+        )
+        for _ in range(2):
+            with pytest.raises(CompositionError, match=message):
+                Scheduler(compiled=compiled).run(composition, 5)
+
+    @pytest.mark.parametrize("compiled", [False, True])
+    def test_a_failing_snapshot_raises_on_every_run(self, compiled):
+        def enabled(state):
+            if state == 1:
+                raise ValueError("no snapshot for state 1")
+            return [self.SHARED]
+
+        automaton = FunctionalAutomaton(
+            name="m",
+            signature=Signature(outputs=FiniteActionSet([self.SHARED])),
+            initial=0,
+            transition=lambda s, a: s + 1,
+            enabled_fn=enabled,
+        )
+        for _ in range(2):
+            with pytest.raises(ValueError, match="state 1"):
+                Scheduler(compiled=compiled).run(automaton, 5)

@@ -77,7 +77,7 @@ def run_with_detector(fd_automaton, policy=None):
         .build()
     )
 
-    def all_decided(state, _step):
+    def all_decided(state):
         return all(
             PerfectConsensusProcess.decision(system.process_state(state, i))
             is not None

@@ -165,7 +165,7 @@ class TestTheorem21BoundedProblems:
         def non_fd_task(task: str) -> bool:
             return not task.startswith("FD-P")
 
-        def both_live_decided(state, _step) -> bool:
+        def both_live_decided(state) -> bool:
             return all(
                 PerfectConsensusProcess.decision(
                     system.component_state(state, algorithm[i])

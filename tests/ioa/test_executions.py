@@ -129,6 +129,22 @@ class TestExecution:
         assert len(e) == 1
         assert e.final_state == 1
 
+    def test_lasso_is_a_note_not_part_of_the_value(self):
+        closed = Execution([0, 1, 0, 1], [A, A, A], lasso=(0, 2))
+        plain = Execution([0, 1, 0, 1], [A, A, A])
+        assert closed.lasso == (0, 2)
+        assert plain.lasso is None
+        assert closed == plain
+        assert hash(closed) == hash(plain)
+        with pytest.raises(AttributeError):
+            closed.lasso = None
+
+    def test_derived_executions_drop_the_lasso(self):
+        closed = Execution([0, 1, 0], [A, A], lasso=(0, 2))
+        assert closed.prefix(2).lasso is None
+        assert closed.concat(Execution([0, 1], [A])).lasso is None
+        assert closed.extend(A, 1).lasso is None
+
     def test_is_execution_of(self):
         m = make_machine()
         good = Execution([0, 1], [A])

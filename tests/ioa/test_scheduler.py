@@ -182,7 +182,7 @@ class TestStopping:
         e = Scheduler().run(
             finite_machine(10),
             100,
-            stop_when=lambda state, step: state >= 4,
+            stop_when=lambda state: state >= 4,
         )
         assert e.final_state == 4
 

@@ -98,7 +98,7 @@ class TestObserverHooks(_OnEngine):
     def test_run_end_reason_stopped(self):
         obs = RecordingObserver()
         self.scheduler(instrument=obs).run(
-            machine(), 10, stop_when=lambda s, step: len(s) >= 4
+            machine(), 10, stop_when=lambda s: len(s) >= 4
         )
         assert obs.calls[-1] == ("run-end", 4, "stopped")
         # The stopped step was never scheduled: stop_when is checked first.

@@ -4,8 +4,9 @@
 the previous enabled-by-task snapshot when asked about the state object
 it last answered for.  Detector outputs leave the state unchanged, so a
 flat detector computes one snapshot per state change, not per step; a
-composition's ``apply`` always builds a new tuple, so its count is
-unchanged; and a policy that asks twice in one step gets the same dict.
+composition's ``apply`` always builds a new tuple, so it computes one
+per executed policy turn; and a policy that asks twice in one step gets
+the same dict.
 """
 
 from __future__ import annotations
@@ -100,11 +101,14 @@ def chaos_spec():
 
 def test_composition_counts_are_unchanged(snapshot_calls):
     """Every composed step builds a new state tuple, so the loop reuses
-    nothing: one merge per policy turn (1,999 of 2,000 steps; one is the
-    injected crash), plus the runner's four asks outside the loop."""
-    result = run_spec(chaos_spec())
+    nothing: one merge per policy turn, plus the runner's four asks
+    outside the loop.  The run closes after 43 executed steps (42 policy
+    turns and the injected crash) on the lasso (26, 2); its other 1,957
+    steps replay the cycle and ask for no snapshot."""
+    result = run_spec(chaos_spec(), keep=True)
     assert result.steps == 2_000
-    assert snapshot_calls["Composition"] == 2_003
+    assert result.run.execution.lasso == (26, 2)
+    assert snapshot_calls["Composition"] == 42 + 4
 
 
 def omega_with_crashes():

@@ -229,9 +229,11 @@ class TestSchedulerIntegration:
     def test_stop_when_booked_once_per_evaluation(self, compiled):
         evaluations = []
 
-        def stop_when(state, step):
-            evaluations.append(step)
-            return step >= 5
+        def stop_when(state):
+            # Round-robin alternates the two counters: after k steps
+            # they sum to k.
+            evaluations.append(sum(state))
+            return sum(state) >= 5
 
         prof = StepProfiler(clock=scripted_clock(0.5))
         Scheduler(RoundRobinPolicy(), instrument=prof, compiled=compiled).run(
@@ -283,7 +285,7 @@ class TestSchedulerIntegration:
             RoundRobinPolicy(),
             instrument=(prof, Observer()),
             compiled=compiled,
-        ).run(two_task_machine(), 8, stop_when=lambda state, step: False)
+        ).run(two_task_machine(), 8, stop_when=lambda state: False)
         assert prof.phase_wall_s == expected
         # compile is booked before the run opens; every other phase lies
         # inside the run, from its start reading to the last reading.
@@ -305,7 +307,7 @@ class TestSchedulerIntegration:
                 two_task_machine(),
                 steps,
                 injections=[Injection(1, IN)],
-                stop_when=lambda state, step: False,
+                stop_when=lambda state: False,
             )
             residuals.append(prof.phase_wall_s["unattributed"] - before)
         assert prof.phase_calls["unattributed"] == prof.runs == 3

@@ -51,7 +51,7 @@ def test_floodmin_kset_agreement(crashes, proposals):
         .build()
     )
 
-    def settled(state, _step):
+    def settled(state):
         crashed = system.crashed(state)
         return all(
             i in crashed

@@ -82,7 +82,7 @@ class TestSystemAccessors:
         assert failed
 
     def test_run_to_decision(self, system, locations):
-        def all_decided(state, _step):
+        def all_decided(state):
             return all(
                 OmegaConsensusProcess.decision(
                     system.process_state(state, i)
