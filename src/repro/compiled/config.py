@@ -5,8 +5,8 @@ module-level flag and a setter returning the previous value so callers
 can restore it in a ``try/finally``.  Forked worker processes
 (:func:`repro.runner.batch.parallel_map`) inherit the flag as the
 parent set it.  Every surface that can route through the compiled core
-(``Scheduler``, ``System.run``, ``ExperimentSpec``, ``TaggedTreeGraph``)
-takes ``compiled=None`` to mean "the process default"; an explicit
+(``Scheduler``, ``System.run``, ``ExperimentSpec``) takes
+``compiled=None`` to mean "the process default"; an explicit
 ``True``/``False`` always wins.
 """
 

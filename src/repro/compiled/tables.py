@@ -44,7 +44,6 @@ directly.
 
 from __future__ import annotations
 
-import weakref
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
@@ -160,16 +159,7 @@ class CompiledAutomaton(Automaton):
         self._aid_memo[id(action)] = (action, aid)
         return aid
 
-    # -- The table API (policy twins, the tagged-tree builder) --------------
-
-    def state_of(self, cid: int) -> State:
-        return self._config_states[cid]
-
-    def action_of(self, aid: int) -> Action:
-        return self._action_list[aid]
-
-    def snapshot_full(self, cid: int) -> Tuple[Optional[Tuple[int, ...]], ...]:
-        return self._snap_full[cid]
+    # -- Transitions --------------------------------------------------------
 
     def _transition(self, cid: int, aid: int) -> int:
         return self.intern_config(
@@ -398,24 +388,22 @@ class CompiledComposition(CompiledAutomaton):
         self._action_parts.clear()
 
 
-#: Per-automaton-instance core cache: the same automaton object is
-#: lowered once per process, however many schedulers or tree builds
-#: route through it.  Weak keys keep discarded systems collectable.
-_CORE_CACHE: "weakref.WeakKeyDictionary[Automaton, CompiledAutomaton]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
 def compile_automaton(automaton: Automaton) -> CompiledAutomaton:
-    """The compiled core for ``automaton`` (cached per instance)."""
+    """The compiled core for ``automaton``: one per automaton instance,
+    however many schedulers or specs route through it.
+
+    The core is kept on the instance it lowers, so it lives exactly as
+    long as that automaton: a discarded system frees its tables.  (A
+    weak-keyed cache could not do that, because the core's ``base``
+    refers back to its key.)"""
     if isinstance(automaton, CompiledAutomaton):
         return automaton
-    core = _CORE_CACHE.get(automaton)
+    core = vars(automaton).get("_compiled_core")
     if core is None:
         core = (
             CompiledComposition(automaton)
             if isinstance(automaton, Composition)
             else CompiledAutomaton(automaton)
         )
-        _CORE_CACHE[automaton] = core
+        automaton._compiled_core = core  # type: ignore[attr-defined]
     return core

@@ -23,15 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import (
-    Callable,
-    Dict,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import State
@@ -117,15 +109,11 @@ class TaggedTreeGraph:
         (cumulative over builds) and a ``tree.build_s`` wall-time
         histogram into the metrics half.
     compiled:
-        ``True`` builds the quotient over the compiled core
-        (:mod:`repro.compiled`): configurations become interned ids, the
-        FD/task applies go through the int-keyed transition table (so
-        the t_D actions' repeated applies are memoized across FD
-        indices), and vertex probes hash int pairs instead of nested
-        config tuples.  Discovery order, counters and error messages are
-        identical to the interpreted build — the graphs are equal edge
-        for edge.  ``False`` forces the interpreted build; ``None``
-        (default) defers to the process default.
+        Accepted and ignored: there is one build, which interns
+        configurations itself.  The keyword stays while the compiled
+        engine does, because the repo benchmark's tree workload
+        (``benchmarks/perf/perfbench/workloads.py``), which picks an
+        engine per run, still passes it.
     """
 
     def __init__(
@@ -136,38 +124,25 @@ class TaggedTreeGraph:
         instrument=None,
         compiled: Optional[bool] = None,
     ):
-        from repro.compiled.config import resolve_compiled
         from repro.obs.instrument import coerce_instrument
 
         self.composition = composition
         self.fd_sequence: Tuple[Action, ...] = tuple(fd_sequence)
         self.labels: List[str] = tree_labels(composition)
         self.max_vertices = max_vertices
-        self.compiled = resolve_compiled(compiled)
         self.metrics = metrics = coerce_instrument(instrument).metrics
-        self.root = TreeVertex(composition.initial_state(), 0)
-        self.root.index = 0
-        #: vertex -> {label: (action tag, successor vertex)}
+        #: the root vertex: the initial configuration at FD index 0
+        #: (admitted first by the build)
+        self.root: TreeVertex
+        #: vertex -> {label: (action tag, successor vertex)}, in
+        #: discovery order (``vertex.index`` is the position)
         self.edges: Dict[
             TreeVertex, Dict[str, Tuple[Optional[Action], TreeVertex]]
         ] = {}
-        #: canonical vertices in discovery order (``vertex.index`` keys it)
-        self._vertices: List[TreeVertex] = []
-        #: config -> [(task label, action tag, successor config)]
-        self._task_edge_memo: Dict[
-            State, List[Tuple[str, Optional[Action], Optional[State]]]
-        ] = {}
-        # Cache telemetry (repro.obs.prof): the task-edge memo and vertex
-        # interning tally into the process-global counters; a hit on
-        # ``tree.vertices`` is a quotient-graph revisit (Lemma 33 doing
-        # its work), a miss is a freshly interned vertex.
-        self._c_task_edges = cache_counter("tree.task-edges")
-        self._c_vertices = cache_counter("tree.vertices")
-        build = self._build_compiled if self.compiled else self._build
         if metrics is not None:
             cache_base = cache_stats_snapshot()
             with metrics.timer("tree.build_s"):
-                build()
+                self._build()
             metrics.counter("tree.vertices").inc(len(self.edges))
             metrics.counter("tree.edges").inc(
                 sum(len(out) for out in self.edges.values())
@@ -179,7 +154,7 @@ class TaggedTreeGraph:
                             stats[kind]
                         )
         else:
-            build()
+            self._build()
 
     def attach_metrics(self, registry) -> "TaggedTreeGraph":
         """Record subsequent tree operations into ``registry``; returns
@@ -190,243 +165,128 @@ class TaggedTreeGraph:
 
     # -- Construction --------------------------------------------------------
 
-    def _task_edges(
-        self, config: State
-    ) -> List[Tuple[str, Optional[Action], Optional[State]]]:
-        """The task-labeled edges out of a configuration (Section 8.2):
-        per task label, its action tag (None for bottom) and successor
-        configuration.
-
-        Task edges are independent of the FD index, and the quotient
-        typically revisits the same configuration at many FD indices
-        (every ⊥-consuming FD step duplicates the config), so the result
-        is memoized per config: one ``enabled_by_task`` snapshot and one
-        ``apply`` per enabled task, shared across all those vertices.
-        """
-        entries = self._task_edge_memo.get(config)
-        if entries is not None:
-            self._c_task_edges.hits += 1
-            return entries
-        self._c_task_edges.misses += 1
-        snapshot = self.composition.enabled_by_task(config)
-        entries = []
-        for label in self.labels:
-            if label == FD_LABEL:
-                continue
-            enabled = snapshot.get(label, ())
-            if not enabled:
-                entries.append((label, None, None))
-                continue
-            if len(enabled) > 1:
-                raise RuntimeError(
-                    f"task {label} is not task-deterministic in some "
-                    f"reachable state (enabled: {enabled}); the tagged "
-                    "tree requires a task-deterministic system"
-                )
-            action = enabled[0]
-            entries.append(
-                (label, action, self.composition.apply(config, action))
-            )
-        self._task_edge_memo[config] = entries
-        return entries
-
-    def _register(self, vertex: TreeVertex) -> TreeVertex:
-        """Admit a fresh canonical vertex, enforcing the bound."""
-        if len(self.edges) >= self.max_vertices:
-            raise RuntimeError(
-                f"tagged tree exceeded {self.max_vertices} "
-                "quotient vertices"
-            )
-        vertex.index = len(self.edges)
-        self.edges[vertex] = {}
-        self._vertices.append(vertex)
-        return vertex
-
     def _build(self) -> None:
-        fd_len = len(self.fd_sequence)
-        frontier = deque([self.root])
-        canon: Dict[TreeVertex, TreeVertex] = {self.root: self.root}
-        self._register(self.root)
+        """Breadth-first discovery of the quotient: the FD edge first,
+        then the task labels in ``self.labels`` order.
 
-        def intern(target: TreeVertex) -> TreeVertex:
-            """The canonical instance of a reached vertex (registering
-            first sightings)."""
-            known = canon.get(target)
-            if known is None:
-                self._c_vertices.misses += 1
-                canon[target] = target
-                self._register(target)
-                frontier.append(target)
-                return target
-            self._c_vertices.hits += 1
-            return known
-
-        while frontier:
-            vertex = frontier.popleft()
-            out: Dict[str, Tuple[Optional[Action], TreeVertex]] = {}
-            # The FD edge consumes t_D, so it depends on the full vertex.
-            if vertex.fd_index < fd_len:
-                action = self.fd_sequence[vertex.fd_index]
-                config = self.composition.apply(vertex.config, action)
-                out[FD_LABEL] = (
-                    action,
-                    intern(TreeVertex(config, vertex.fd_index + 1)),
-                )
-            else:
-                out[FD_LABEL] = (None, vertex)
-            # Task edges depend only on the config: shared via the memo.
-            for label, action, config in self._task_edges(vertex.config):
-                if action is None:
-                    out[label] = (None, vertex)
-                else:
-                    out[label] = (
-                        action,
-                        intern(TreeVertex(config, vertex.fd_index)),
-                    )
-            self.edges[vertex] = out
-
-    def _build_compiled(self) -> None:
-        """The interpreted build, lowered over the compiled core.
-
-        Vertices are probed as ``(config id, fd_index)`` int pairs —
-        no nested-tuple hashing — and every FD/task apply goes through
-        the core's int-keyed transition table, so t_D's repeated actions
-        and the quotient's config revisits pay one interpreted apply
-        each, total.  Discovery (BFS; FD edge first, then task labels in
-        order) and the ``tree.vertices`` / ``tree.task-edges`` hit/miss
-        pattern are identical to :meth:`_build`, so the resulting graph
-        is equal edge for edge and counter for counter.
+        Every configuration an apply produces is interned to a dense id
+        (one nested hash per apply); the memos and vertex probes after
+        that key on ints.  An FD edge is memoized by (config id, t_D
+        event), with events interned by value, so an event t_D repeats
+        (P's ``perfect_output(i, ())`` every round) applies once per
+        config, not once per vertex.  A config's task edges do not
+        depend on the FD index, so they are computed once and shared by
+        every vertex carrying that config.  Both memos rest on apply
+        purity and Lemma 33.  A vertex is probed by one packed int,
+        ``cid * (len(t_D) + 1) + fd_index``.
         """
-        from repro.compiled.tables import compile_automaton
-
-        core = compile_automaton(self.composition)
+        composition = self.composition
+        apply = composition.apply
         fd_sequence = self.fd_sequence
         fd_len = len(fd_sequence)
-        fd_aids = [core.intern_action(a) for a in fd_sequence]
-        root_cid = core.intern_config(self.root.config)
-        # Vertex probes use one packed int: fd_index ranges over
-        # 0..fd_len inclusive, so ``cid * (fd_len + 1) + fd_index`` is
-        # injective — a single small-int hash per probe.
         stride = fd_len + 1
-        vmap: Dict[int, TreeVertex] = {root_cid * stride: self.root}
-        frontier = deque([(self.root, root_cid)])
-        self._register(self.root)
+        event_ids: Dict[Action, int] = {}
+        fd_aids = [event_ids.setdefault(a, len(event_ids)) for a in fd_sequence]
+        n_events = len(event_ids)
+        task_labels = [label for label in self.labels if label != FD_LABEL]
+        configs: List[State] = []
+        cid_of: Dict[State, int] = {}
+        #: cid * n_events + event id -> successor cid
+        fd_memo: Dict[int, int] = {}
         #: cid -> [(task label, action tag, successor cid)]
-        task_memo: Dict[
-            int, List[Tuple[str, Optional[Action], Optional[int]]]
-        ] = {}
-        task_index = {
-            label: k for k, label in enumerate(core.task_names)
-        }
-        task_cols = [
-            (label, task_index[label])
-            for label in self.labels
-            if label != FD_LABEL
-        ]
-        # The loop below is the E12/E13 hot path: core internals and
-        # counters are hoisted into locals, and the apply-memo probe is
-        # inlined (same tallies as ``core.apply``).
+        task_memo: Dict[int, List[Tuple[str, Optional[Action], int]]] = {}
+        vmap: Dict[int, TreeVertex] = {}
         edges = self.edges
-        canonical = self._vertices
-        max_vertices = self.max_vertices
-        c_vert = self._c_vertices
-        c_task = self._c_task_edges
-        c_apply = core._c_apply
-        apply_memo = core._apply_memo
-        transition = core._transition
-        state_of = core.state_of
+        frontier: deque = deque()
+        # Cache telemetry (repro.obs.prof): a hit on ``tree.vertices`` is
+        # a quotient-graph revisit (Lemma 33 doing its work), a miss a
+        # freshly admitted vertex; ``tree.task-edges`` tallies the
+        # per-config task-edge memo.
+        c_vert = cache_counter("tree.vertices")
+        c_task = cache_counter("tree.task-edges")
         popleft = frontier.popleft
-        push = frontier.append
+
+        def intern(config: State) -> int:
+            cid = cid_of.get(config)
+            if cid is None:
+                cid = cid_of[config] = len(configs)
+                configs.append(config)
+            return cid
 
         def admit(cid: int, fd_index: int) -> TreeVertex:
-            # The miss half of vertex interning; the hit path (a single
-            # packed-int probe) is inlined at each edge below.
-            c_vert.misses += 1
-            vertex = TreeVertex(state_of(cid), fd_index)
-            vmap[cid * stride + fd_index] = vertex
-            if len(edges) >= max_vertices:
+            """Register a fresh vertex, enforcing the bound.  (Its probe,
+            one packed-int ``vmap`` lookup, is inlined at each edge.)"""
+            if len(edges) >= self.max_vertices:
                 raise RuntimeError(
-                    f"tagged tree exceeded {max_vertices} "
+                    f"tagged tree exceeded {self.max_vertices} "
                     "quotient vertices"
                 )
+            vertex = TreeVertex(configs[cid], fd_index)
             vertex.index = len(edges)
             edges[vertex] = {}
-            canonical.append(vertex)
-            push((vertex, cid))
+            vmap[cid * stride + fd_index] = vertex
+            frontier.append((vertex, cid))
             return vertex
 
-        def task_edges(cid: int):
-            c_task.misses += 1
-            snapshot = core.snapshot_full(cid)
-            entries = []
-            for label, col in task_cols:
-                aids = snapshot[col]
-                if not aids:
-                    entries.append((label, None, None))
+        def task_edges(cid: int) -> List[Tuple[str, Optional[Action], int]]:
+            """Per task label, its action tag (None for bottom) and
+            successor config id (Section 8.2)."""
+            config = configs[cid]
+            snapshot = composition.enabled_by_task(config)
+            entries: List[Tuple[str, Optional[Action], int]] = []
+            for label in task_labels:
+                enabled = snapshot.get(label, ())
+                if not enabled:
+                    entries.append((label, None, -1))
                     continue
-                if len(aids) > 1:
-                    # Recompute through the base composition so the
-                    # message matches the interpreted build's exactly
-                    # (snapshot tuples, not interned-sorted ones).
-                    enabled = self.composition.enabled_by_task(
-                        state_of(cid)
-                    ).get(label)
+                if len(enabled) > 1:
                     raise RuntimeError(
                         f"task {label} is not task-deterministic in some "
                         f"reachable state (enabled: {enabled}); the tagged "
                         "tree requires a task-deterministic system"
                     )
-                aid = aids[0]
-                akey = (cid, aid)
-                nid = apply_memo.get(akey)
-                if nid is None:
-                    c_apply.misses += 1
-                    nid = transition(cid, aid)
-                    apply_memo[akey] = nid
-                else:
-                    c_apply.hits += 1
-                entries.append((label, core.action_of(aid), nid))
-            task_memo[cid] = entries
+                action = enabled[0]
+                entries.append((label, action, intern(apply(config, action))))
             return entries
 
+        self.root = admit(intern(composition.initial_state()), 0)
         while frontier:
             vertex, cid = popleft()
             fdi = vertex.fd_index
+            bottom = (None, vertex)
             out: Dict[str, Tuple[Optional[Action], TreeVertex]] = {}
             if fdi < fd_len:
-                aid = fd_aids[fdi]
-                akey = (cid, aid)
-                nid = apply_memo.get(akey)
+                action = fd_sequence[fdi]
+                key = cid * n_events + fd_aids[fdi]
+                nid = fd_memo.get(key)
                 if nid is None:
-                    c_apply.misses += 1
-                    nid = transition(cid, aid)
-                    apply_memo[akey] = nid
-                else:
-                    c_apply.hits += 1
+                    nid = fd_memo[key] = intern(apply(configs[cid], action))
                 known = vmap.get(nid * stride + fdi + 1)
                 if known is None:
+                    c_vert.misses += 1
                     known = admit(nid, fdi + 1)
                 else:
                     c_vert.hits += 1
-                out[FD_LABEL] = (fd_sequence[fdi], known)
+                out[FD_LABEL] = (action, known)
             else:
-                out[FD_LABEL] = (None, vertex)
+                out[FD_LABEL] = bottom
             entries = task_memo.get(cid)
             if entries is None:
-                entries = task_edges(cid)
+                c_task.misses += 1
+                entries = task_memo[cid] = task_edges(cid)
             else:
                 c_task.hits += 1
-            bottom = (None, vertex)
-            for label, action, succ_cid in entries:
+            for label, action, nid in entries:
                 if action is None:
                     out[label] = bottom
+                    continue
+                known = vmap.get(nid * stride + fdi)
+                if known is None:
+                    c_vert.misses += 1
+                    known = admit(nid, fdi)
                 else:
-                    known = vmap.get(succ_cid * stride + fdi)
-                    if known is None:
-                        known = admit(succ_cid, fdi)
-                    else:
-                        c_vert.hits += 1
-                    out[label] = (action, known)
+                    c_vert.hits += 1
+                out[label] = (action, known)
             edges[vertex] = out
 
     # -- Queries --------------------------------------------------------------------

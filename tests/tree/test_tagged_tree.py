@@ -3,6 +3,11 @@
 import pytest
 
 from repro.detectors.perfect import perfect_output
+from repro.ioa.actions import Action
+from repro.ioa.automaton import FunctionalAutomaton
+from repro.ioa.composition import Composition
+from repro.ioa.signature import FiniteActionSet, Signature
+from repro.obs.prof import cache_stats_delta, cache_stats_snapshot
 from repro.tree.labels import FD_LABEL, tree_labels
 from repro.tree.tagged_tree import TaggedTreeGraph, TreeVertex
 from tests.tree.conftest import (
@@ -35,6 +40,68 @@ class TestConstruction:
         _algorithm, composition = build_tree_system()
         with pytest.raises(RuntimeError, match="exceeded"):
             TaggedTreeGraph(composition, crash_free_td(), max_vertices=10)
+
+    def test_task_determinism_violation_message(self):
+        # One task covering two always-enabled outputs: the canonical
+        # task-determinism violation, reported with the snapshot's tuple.
+        a0, a1 = Action("out0", 0), Action("out1", 0)
+        automaton = FunctionalAutomaton(
+            name="ambiguous",
+            signature=Signature(outputs=FiniteActionSet([a0, a1])),
+            initial=0,
+            transition=lambda s, a: s,
+            enabled_fn=lambda s: (a0, a1),
+            task_names=("t",),
+            task_assignment=lambda a: "t",
+        )
+        composition = Composition([automaton], name="wrapper")
+        with pytest.raises(RuntimeError) as exc:
+            TaggedTreeGraph(composition, [a0], max_vertices=5_000)
+        assert str(exc.value) == (
+            "task ambiguous:t is not task-deterministic in some reachable "
+            f"state (enabled: {(a0, a1)}); the tagged tree requires a "
+            "task-deterministic system"
+        )
+
+
+@pytest.mark.parametrize(
+    "td_factory, applies, snapshots, vertices, task_edges",
+    [
+        (crash_free_td, 324, 77, (2172, 1240), (1168, 73)),
+        (one_crash_td, 978, 299, (1276, 1125), (831, 295)),
+    ],
+    ids=["crash-free", "one-crash"],
+)
+def test_build_work_counts(
+    monkeypatch, td_factory, applies, snapshots, vertices, task_edges
+):
+    """Exact work of one build.  A config is applied at most once per
+    distinct t_D event and once per enabled task, and snapshotted once
+    (the counts also take in the calls of the environment, itself a
+    ``Composition``); the (hits, misses) tallies of the vertex probes
+    and the task-edge memo count the quotient's revisits."""
+    calls = {"apply": 0, "enabled_by_task": 0}
+    for name in calls:
+        original = getattr(Composition, name)
+
+        def counted(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Composition, name, counted)
+    _algorithm, composition = build_tree_system()
+    base = cache_stats_snapshot()
+    TaggedTreeGraph(composition, td_factory(), max_vertices=50_000)
+    delta = cache_stats_delta(base)
+    assert calls == {"apply": applies, "enabled_by_task": snapshots}
+    assert (
+        delta["tree.vertices"]["hits"],
+        delta["tree.vertices"]["misses"],
+    ) == vertices
+    assert (
+        delta["tree.task-edges"]["hits"],
+        delta["tree.task-edges"]["misses"],
+    ) == task_edges
 
 
 class TestEdges:
