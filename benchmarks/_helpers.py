@@ -14,9 +14,9 @@ Every module declares a :class:`BenchSpec` and can be run three ways:
   standalone, via :func:`bench_main`: runs the kernel once, wall-times
   it, prints the series and emits the artifact (``--quick`` asks the
   kernel for its scaled-down parameterization — useful for CI smoke
-  runs; ``--jobs N`` fans the kernel's independent units across ``N``
-  worker processes via :mod:`repro.runner`, with results identical to
-  the serial run);
+  runs; ``--jobs N`` fans the kernel's independent units across up to
+  ``N`` worker processes via :mod:`repro.runner`, with results
+  identical to the serial run);
 * ``python benchmarks/run_sweep.py [--quick] [--jobs N]`` — the whole
   suite, optionally with whole benchmarks fanned across processes.
 """
@@ -50,8 +50,8 @@ class BenchSpec:
     ``kernel`` returns the series rows; if its signature has a ``quick``
     parameter, ``--quick`` runs pass ``quick=True`` and the kernel is
     expected to shrink its sweep accordingly.  If it has a ``jobs``
-    parameter, the kernel fans its independent units across that many
-    worker processes (``repro.runner.parallel_map`` /
+    parameter, the kernel fans its independent units across up to that
+    many worker processes (``repro.runner.parallel_map`` /
     ``repro.runner.BatchRunner``) — by the engine's determinism
     contract, the rows are identical at any job count.
     """

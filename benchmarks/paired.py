@@ -1,25 +1,29 @@
-"""Paired kernel CPU times: a base revision against this tree.
+"""Paired kernel times: a base revision against this tree.
 
 Usage::
 
     python benchmarks/paired.py --base REV [--only e12,e13,e14]
-                                [--pairs N] [--quick]
+                                [--pairs N] [--quick] [--jobs N]
 
 The base revision is checked out with ``git worktree add --detach`` into
 a temporary directory (local history only, no network) and removed when
 the command ends.  Each pair runs every selected kernel once per side,
 each run in a fresh child process that imports the bench module and the
 library from its own tree (``PYTHONPATH=<tree>/src``,
-``PYTHONHASHSEED=0``), times one ``BENCH.run_kernel`` call with
-``time.process_time()`` and reports that time with a digest of the rows.
-The side that runs first alternates from pair to pair, so drift of the
-host over a sitting lands on both sides.
+``PYTHONHASHSEED=0``), times one ``BENCH.run_kernel(jobs=N)`` call and
+reports that time with a digest of the rows.  With ``--jobs 1`` (the
+default) the time is the child's CPU time (``time.process_time()``);
+with ``--jobs N > 1`` it is wall time (``time.perf_counter()``), because
+CPU time would leave out the workers' CPU and every fork and pool cost.
+The header line names the unit.  The side that runs first alternates
+from pair to pair, so drift of the host over a sitting lands on both
+sides.
 
-Per kernel it prints both sides' median CPU seconds with their
-quartiles, the change/base ratio of the medians, the pairs the change
-won (ties count for neither) and ``ROWS DIFFER`` when the runs' rows
-are not all equal.  Without ``--only`` every kernel of this tree runs;
-``--pairs`` defaults to 10.
+Per kernel it prints both sides' median seconds with their quartiles,
+the change/base ratio of the medians, the pairs the change won (ties
+count for neither) and ``ROWS DIFFER`` when the runs' rows are not all
+equal.  Without ``--only`` every kernel of this tree runs; ``--pairs``
+defaults to 10.
 
 Exit status: 0, or 1 when some kernel's rows differ.
 """
@@ -39,22 +43,24 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: Runs in the child: argv is (tree, bench module stem, quick flag).
+#: Runs in the child: argv is (tree, bench module stem, quick flag, jobs).
 _CHILD = r"""
 import hashlib, importlib, json, sys, time
 from pathlib import Path
 
 tree, stem, quick = Path(sys.argv[1]), sys.argv[2], sys.argv[3] == "1"
+jobs = int(sys.argv[4])
 sys.path.insert(0, str(tree / "benchmarks"))
 spec = importlib.import_module(stem).BENCH
 import repro
 if tree.resolve() not in Path(repro.__file__).resolve().parents:
     sys.exit(f"repro imported from {repro.__file__}, not from {tree}")
-start = time.process_time()
-rows = spec.run_kernel(quick=quick)
-cpu_s = time.process_time() - start
+clock = time.process_time if jobs == 1 else time.perf_counter
+start = clock()
+rows = spec.run_kernel(quick=quick, jobs=jobs)
+seconds = clock() - start
 blob = json.dumps(rows, sort_keys=True, default=repr).encode()
-print(json.dumps({"cpu_s": cpu_s, "rows": hashlib.sha256(blob).hexdigest()}))
+print(json.dumps({"s": seconds, "rows": hashlib.sha256(blob).hexdigest()}))
 """
 
 
@@ -66,11 +72,11 @@ def bench_stem(tree: Path, bench_id: str) -> str:
     return matches[0].stem
 
 
-def run_child(tree: Path, stem: str, quick: bool) -> Tuple[float, str]:
-    """One kernel run in a fresh process: (CPU seconds, rows digest)."""
+def run_child(tree: Path, stem: str, quick: bool, jobs: int) -> Tuple[float, str]:
+    """One kernel run in a fresh process: (seconds, rows digest)."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(tree), stem, "1" if quick else "0"],
+        [sys.executable, "-c", _CHILD, str(tree), stem, "1" if quick else "0", str(jobs)],
         cwd=tree,
         env=env,
         capture_output=True,
@@ -81,7 +87,7 @@ def run_child(tree: Path, stem: str, quick: bool) -> Tuple[float, str]:
             f"{stem} failed in {tree} (exit {done.returncode}):\n{done.stderr}"
         )
     result = json.loads(done.stdout.strip().splitlines()[-1])
-    return result["cpu_s"], result["rows"]
+    return result["s"], result["rows"]
 
 
 def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
@@ -93,13 +99,13 @@ def quartiles(values: Sequence[float]) -> Tuple[float, float, float]:
 
 
 class Summary(NamedTuple):
-    """One kernel's paired summary; CPU seconds as (q1, median, q3)."""
+    """One kernel's paired summary; seconds as (q1, median, q3)."""
 
     pairs: int
     base: Tuple[float, float, float]
     change: Tuple[float, float, float]
     ratio: float  # change median / base median
-    wins: int  # pairs where the change took less CPU; ties count for neither
+    wins: int  # pairs where the change took less time; ties count for neither
     rows_differ: bool
 
 
@@ -109,8 +115,8 @@ def summarize(
     base_rows: Sequence[str],
     change_rows: Sequence[str],
 ) -> Summary:
-    """``base[k]`` and ``change[k]`` are the CPU seconds of pair ``k``;
-    the rows lists hold each run's digest."""
+    """``base[k]`` and ``change[k]`` are the seconds of pair ``k``; the
+    rows lists hold each run's digest."""
     if len(base) != len(change) or not base:
         raise ValueError("need equally many base and change samples, >= 1")
     base_q, change_q = quartiles(base), quartiles(change)
@@ -121,6 +127,17 @@ def summarize(
         ratio=change_q[1] / base_q[1] if base_q[1] else float("inf"),
         wins=sum(1 for b, c in zip(base, change) if c < b),
         rows_differ=len(set(base_rows) | set(change_rows)) != 1,
+    )
+
+
+def header(base: str, pairs: int, quick: bool, jobs: int) -> str:
+    """The report's first line; it names the unit of every row."""
+    mode = "quick" if quick else "full"
+    if jobs == 1:
+        return f"paired: base {base} vs this tree, {pairs} pairs, {mode} mode, CPU s"
+    return (
+        f"paired: base {base} vs this tree, {pairs} pairs, {mode} mode, "
+        f"jobs {jobs}, wall s"
     )
 
 
@@ -137,7 +154,7 @@ def format_row(bench_id: str, summary: Summary) -> str:
 
 
 def paired(
-    base_tree: Path, ids: Sequence[str], pairs: int, quick: bool
+    base_tree: Path, ids: Sequence[str], pairs: int, quick: bool, jobs: int
 ) -> List[Tuple[str, Summary]]:
     trees = {"base": base_tree, "change": _REPO_ROOT}
     stems = {
@@ -152,14 +169,14 @@ def paired(
         for bench_id in ids:
             for side in order:
                 samples[side][bench_id].append(
-                    run_child(trees[side], stems[side][bench_id], quick)
+                    run_child(trees[side], stems[side][bench_id], quick, jobs)
                 )
     return [
         (
             bench_id,
             summarize(
-                [cpu for cpu, _ in samples["base"][bench_id]],
-                [cpu for cpu, _ in samples["change"][bench_id]],
+                [seconds for seconds, _ in samples["base"][bench_id]],
+                [seconds for seconds, _ in samples["change"][bench_id]],
                 [rows for _, rows in samples["base"][bench_id]],
                 [rows for _, rows in samples["change"][bench_id]],
             ),
@@ -170,15 +187,20 @@ def paired(
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
-        description="Paired fresh-process kernel CPU times, base vs this tree."
+        description="Paired fresh-process kernel times, base vs this tree."
     )
     parser.add_argument("--base", required=True, help="git revision to compare")
     parser.add_argument("--only", help="comma-separated bench ids (e12,e13)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--quick", action="store_true")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes per kernel run"
+    )
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if args.jobs < 1:
+        parser.error("--jobs must be at least 1")
     if args.only:
         ids = [part.strip().lower() for part in args.only.split(",") if part.strip()]
     else:
@@ -196,7 +218,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
         if added.returncode != 0:
             raise SystemExit(f"cannot check out {args.base!r} as the base")
-        results = paired(base_tree, ids, args.pairs, args.quick)
+        results = paired(base_tree, ids, args.pairs, args.quick, args.jobs)
     finally:
         if base_tree.exists():
             subprocess.run(
@@ -206,8 +228,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             )
         shutil.rmtree(scratch, ignore_errors=True)
 
-    mode = "quick" if args.quick else "full"
-    print(f"paired: base {args.base} vs this tree, {args.pairs} pairs, {mode} mode, CPU s")
+    print(header(args.base, args.pairs, args.quick, args.jobs))
     for bench_id, summary in results:
         print(format_row(bench_id, summary))
     return 1 if any(summary.rows_differ for _, summary in results) else 0

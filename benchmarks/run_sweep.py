@@ -11,15 +11,17 @@ Usage::
 same flag the standalone ``python benchmarks/bench_*.py --quick`` CLIs
 accept); kernels without a ``quick`` parameter run at full size.
 ``--only`` restricts the sweep to a comma-separated list of bench ids.
-``--jobs N`` fans whole benchmarks across ``N`` worker processes via
-:func:`repro.runner.parallel_map` (``--jobs 0`` = all usable cores).
-Kernels are deterministic, so the artifacts carry the same series at
-any job count; artifact files are always written by this parent
-process, in bench order.
+``--jobs N`` fans whole benchmarks across up to ``N`` worker processes
+via :func:`repro.runner.parallel_map` (``--jobs 0`` = all usable
+cores): kernels run in this process until the measured kernel time
+says a fork pool pays for the rest, so the first kernel always runs
+here.  Kernels are deterministic, so the artifacts carry the same
+series at any job count; artifact files are always written by this
+parent process, in bench order.
 
 ``--profile`` books each kernel's step phases and cache hit rates into
-``PROFILE_<ID>.json`` (workers profile on their side of the fork; the
-parent writes the files).  ``--compiled`` routes every scheduler/tree
+``PROFILE_<ID>.json`` (each kernel is profiled in the process that runs
+it; the parent writes the files).  ``--compiled`` routes every scheduler/tree
 run through the compiled core (:mod:`repro.compiled`) — byte-identical
 series, different wall times; the perf-guard CI job sweeps both paths
 and diffs them.  ``--ledger PATH`` appends one content-addressed record
@@ -76,13 +78,17 @@ def discover():
 
 
 def _run_one(item):
-    """Worker entry: run one benchmark kernel, serially, in isolation.
+    """Run one benchmark kernel, serially, in this process or a worker.
 
-    Takes ``(module_stem, quick, profile)`` — plain picklable data —
-    and re-imports the bench module on its side of the fork.  Returns
-    ``(stem, rows, wall_s, profile_summary, error)``; the parent owns
-    all printing and artifact/profile writes so output and files stay
-    ordered.  Profiling happens worker-side (the profiler's cache
+    ``parallel_map`` may call it in the parent (the first kernels of a
+    sweep, or all of them when they are cheap) or in a forked worker, so
+    it leaves the process as it found it: the compiled default is
+    restored in a ``finally``.  Takes ``(module_stem, quick, profile,
+    compiled)`` — plain picklable data — and imports the bench module in
+    the process that runs it.  Returns ``(stem, rows, wall_s,
+    profile_summary, error)``; the parent owns all printing and
+    artifact/profile writes so output and files stay ordered.
+    Profiling happens in the running process (the profiler's cache
     window is per-process), and the summary dict is plain JSON-ready
     data, so it pickles back cleanly.
     """

@@ -525,7 +525,10 @@ class WorkerRaceRule(Rule):
     Functions handed to ``parallel_map`` / ``Pool.imap`` execute in
     forked worker processes; a write to module-level mutable state (or a
     closure cell) lands in the *worker's* copy and silently diverges
-    from the parent — results must flow through return values.  The
+    from the parent — results must flow through return values.
+    ``parallel_map`` may run any prefix of a batch in the caller before
+    it forks, depending on the items' measured time, so such a write
+    diverges with timing, not only with the job count.  The
     per-module call graph extends the check to everything a worker entry
     point reaches.  ``cache_counter(...)`` bindings are the sanctioned
     telemetry seams (merged explicitly, never part of a series).

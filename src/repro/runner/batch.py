@@ -2,10 +2,12 @@
 
 The runner is the multi-core lever for the repository's sweeps: every
 seeded run described by an :class:`~repro.runner.spec.ExperimentSpec` is
-independent, so a batch fans out over ``multiprocessing`` workers with
-no shared state — each worker rebuilds its run from the picklable spec,
-which is exactly what makes the parallel results provably identical to
-the serial ones (see ``tests/runner/test_determinism.py``).
+independent, so a batch can fan out over ``multiprocessing`` workers
+with no shared state — each worker rebuilds its run from the picklable
+spec, which is exactly what makes the parallel results provably
+identical to the serial ones (see ``tests/runner/test_determinism.py``).
+A batch fans out only once its measured cost outgrows a fork pool's
+(:data:`_BREAK_EVEN_S`); until then its items run in the caller.
 
 Also home to :func:`parallel_map`, the deterministic ordered map the
 benchmark kernels use for work that is not a single spec (tree builds,
@@ -20,7 +22,8 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
 from repro.runner.spec import ExperimentResult, ExperimentSpec, run_spec
 
@@ -42,28 +45,81 @@ def _mp_context(name: Optional[str] = None):
     return multiprocessing.get_context()
 
 
+#: Seconds of serial work a batch must still hold before a fork pool
+#: beats running it in the caller.  Measured on a 2-core host with
+#: ``Pool(2)`` over the benchmark's short specs (in-process medians):
+#: the pool costs about 10 ms to create and 4 ms to close and join, and
+#: a fresh fork runs the same items about 30% slower than the warm
+#: parent (44.6 vs 34.0 ms of CPU for 4 specs).  Pool over serial wall
+#: time read 2.45 at 2 specs, 1.47 at 4, 1.08 at 6, 0.91 at 12 and 0.77
+#: at 24, so the pool breaks even between 60 and 90 ms of serial work;
+#: 0.1 s sits just past that, where the pool is ahead.  Tests override
+#: it (a negative value sends every item to the pool).
+_BREAK_EVEN_S = 0.1
+
+
+def _fan_out(
+    fn: Callable[[Any], Any],
+    items: List[Any],
+    jobs: int,
+    mp_context: Optional[str],
+) -> Iterator[Any]:
+    """Yield ``fn(item)`` for every item, in item order.
+
+    Items run in the caller while the mean wall time of the items run so
+    far, times the items left, stays at or under :data:`_BREAK_EVEN_S`
+    (before the first item the estimate is 0).  Once it is over, the
+    items left, two or more, go to a pool of ``min(jobs, left)``
+    workers with ``chunksize=1``, whose ordered results follow.  So a
+    cheap batch never forks, and a costly one forks after its first item
+    plus at most the break-even of serial work.
+
+    With ``jobs > 1`` and two or more items, ``fn`` is pickled before
+    anything runs, and each item before it runs in the caller: a batch
+    the pool could not carry fails the same way on either path.
+    """
+    if jobs <= 1 or len(items) < 2:
+        for item in items:
+            yield fn(item)
+        return
+    ForkingPickler.dumps(fn)
+    spent = 0.0
+    for done, item in enumerate(items):
+        left = len(items) - done
+        estimate = spent / done * left if done else 0.0
+        if left >= 2 and estimate > _BREAK_EVEN_S:
+            ctx = _mp_context(mp_context)
+            with ctx.Pool(processes=min(jobs, left)) as pool:
+                yield from pool.imap(fn, items[done:], chunksize=1)
+            return
+        ForkingPickler.dumps(item)
+        start = time.perf_counter()
+        result = fn(item)
+        spent += time.perf_counter() - start
+        yield result
+
+
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
     jobs: int = 1,
     mp_context: Optional[str] = None,
 ) -> List[Any]:
-    """``[fn(x) for x in items]``, fanned out over ``jobs`` processes.
+    """``[fn(x) for x in items]``, fanned out over up to ``jobs`` processes.
 
     Order-preserving and deterministic: the result list matches the
-    serial comprehension element-for-element regardless of worker
-    scheduling.  ``fn`` and every item must be picklable (module-level
-    functions; no closures) when ``jobs > 1``.  ``jobs <= 1`` or fewer
-    than two items short-circuits to the serial loop — no pool, no
-    pickling requirement.
+    serial comprehension element-for-element regardless of where each
+    item ran.  ``jobs`` is an upper bound: items run in the caller until
+    the batch's measured cost outgrows a fork pool's
+    (:data:`_BREAK_EVEN_S`, 0.1 s of serial work left; see its comment
+    for the derivation), so a cheap batch never forks and a costly one
+    forks after one item.  ``fn`` and every item must be picklable
+    (module-level functions; no closures) when ``jobs > 1``, whichever
+    way the batch runs.  ``jobs <= 1`` or fewer than two items
+    short-circuits to the serial loop — no pool, no pickling
+    requirement.
     """
-    items = list(items)
-    jobs = max(1, int(jobs))
-    if jobs <= 1 or len(items) < 2:
-        return [fn(item) for item in items]
-    ctx = _mp_context(mp_context)
-    with ctx.Pool(processes=min(jobs, len(items))) as pool:
-        return pool.map(fn, items, chunksize=1)
+    return list(_fan_out(fn, list(items), max(1, int(jobs)), mp_context))
 
 
 def _execute_spec(spec: ExperimentSpec) -> ExperimentResult:
@@ -206,8 +262,12 @@ class BatchRunner:
     Parameters
     ----------
     jobs:
-        Worker processes; ``1`` (default) runs in-process, ``0``/None
-        means :func:`default_jobs` (the machine's usable cores).
+        Upper bound on worker processes; ``1`` (default) runs
+        in-process, ``0``/None means :func:`default_jobs` (the machine's
+        usable cores).  Like :func:`parallel_map`, a batch runs in the
+        caller until its measured cost outgrows a fork pool's
+        (:data:`_BREAK_EVEN_S`), so a cheap batch never forks; results
+        are the same either way.
     instrument:
         The unified instrumentation hook; its metrics half receives
         batch-level counters (``batch.runs``, ``batch.failures``) and a
@@ -355,11 +415,11 @@ class BatchRunner:
     ) -> List[ExperimentResult]:
         """Execute with per-run progress events (results in spec order).
 
-        The parallel path streams through ``Pool.imap`` — same ordered
-        results as ``Pool.map``, but each arrives as it (and all its
-        predecessors) completes, so the sink sees the sweep move instead
-        of one burst at the end.  ``cache_hits`` (set iff a cache is
-        attached) is announced up front as a ``cache`` event; the per-run
+        Runs go through the same fan-out as :func:`parallel_map`, one
+        result at a time: each arrives as it (and all its predecessors)
+        completes, so the sink sees the sweep move instead of one burst
+        at the end.  ``cache_hits`` (set iff a cache is attached) is
+        announced up front as a ``cache`` event; the per-run
         ``completed``/``total`` numbers then count *executed* runs only.
         """
         with _ProgressSink(self.progress) as sink:
@@ -405,14 +465,8 @@ class BatchRunner:
                 }
             )
 
-        if self.jobs <= 1 or len(specs) < 2:
-            for spec in specs:
-                track(_execute_spec(spec))
-        else:
-            ctx = _mp_context(self.mp_context)
-            with ctx.Pool(processes=min(self.jobs, len(specs))) as pool:
-                for result in pool.imap(_execute_spec, specs, chunksize=1):
-                    track(result)
+        for result in _fan_out(_execute_spec, specs, self.jobs, self.mp_context):
+            track(result)
         elapsed = time.perf_counter() - start
         sink.emit(
             {

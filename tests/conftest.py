@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from collections import Counter
 
 import pytest
@@ -24,6 +25,38 @@ def locations4():
 @pytest.fixture
 def scheduler():
     return Scheduler()
+
+
+def worker_pid(_item):
+    """The pid of the process an item ran in (module-level, so a fork
+    pool can carry it)."""
+    return os.getpid()
+
+
+@pytest.fixture
+def fan_out_everything(monkeypatch):
+    """Send every item of a ``jobs > 1`` batch to the fork pool, the
+    first one included, however cheap the batch is.
+
+    Serial-vs-parallel identity tests use it, or their small batches
+    would run in the caller and compare the serial path with itself.
+    The fixture checks that workers run the items, and that each test
+    using it reaches the pool.
+    """
+    from repro.runner import batch
+
+    monkeypatch.setattr(batch, "_BREAK_EVEN_S", -1.0)
+    assert os.getpid() not in batch.parallel_map(worker_pid, [0, 1], jobs=2)
+    pools = []
+    real_context = batch._mp_context
+
+    def counting_context(name=None):
+        pools.append(name)
+        return real_context(name)
+
+    monkeypatch.setattr(batch, "_mp_context", counting_context)
+    yield
+    assert pools, "no batch of this test reached the fork pool"
 
 
 def fresh_turns(states):

@@ -124,6 +124,7 @@ def test_sweep_seeds_vary_unbound_plan_schedules():
 # -- Byte-determinism serial vs parallel -------------------------------------
 
 
+@pytest.mark.usefixtures("fan_out_everything")
 def test_chaos_batch_is_identical_serial_vs_parallel():
     base = base_spec(instrument=True)
     specs = sweep(

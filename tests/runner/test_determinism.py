@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
+
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
 from repro.runner import (
     BatchRunner,
@@ -52,6 +54,7 @@ def trace_spec(**overrides):
     return ExperimentSpec(**base)
 
 
+@pytest.mark.usefixtures("fan_out_everything")
 class TestSerialParallelIdentity:
     def test_consensus_traces_byte_identical_across_jobs(self):
         specs = sweep(consensus_spec(), fault_patterns=[{}, {0: 10}, {1: 4}])

@@ -49,3 +49,15 @@ def test_row_flag_is_printed():
     assert line.startswith("e12")
     assert "wins 0/1" in line
     assert line.endswith("ROWS DIFFER")
+
+
+def test_header_names_the_unit():
+    # --jobs 1 keeps the CPU-time header unchanged.
+    assert (
+        paired.header("HEAD", 10, False, 1)
+        == "paired: base HEAD vs this tree, 10 pairs, full mode, CPU s"
+    )
+    assert (
+        paired.header("abc123", 1, True, 2)
+        == "paired: base abc123 vs this tree, 1 pairs, quick mode, jobs 2, wall s"
+    )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 
+import pytest
 from hypothesis import example, given, settings
 
 from repro.cache import ResultStore
@@ -206,6 +207,7 @@ class TestExecutionModeIdentity:
     def det(results):
         return [dataclasses.replace(r, wall_s=0.0) for r in results]
 
+    @pytest.mark.usefixtures("fan_out_everything")
     def test_serial_jobs2_and_cache_warm_agree(self, tmp_path):
         specs = self.grid()
         serial = BatchRunner(jobs=1).run(specs, raise_on_error=True)
