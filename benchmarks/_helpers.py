@@ -122,11 +122,12 @@ def emit_bench_artifact(
     return path
 
 
-def profiled_kernel_run(spec: BenchSpec, quick: bool = False, jobs: int = 1):
-    """Run a kernel with a process-wide profiler installed.
+def profiled_kernel_run(spec: BenchSpec, quick: bool = False):
+    """Run a kernel serially with a process-wide profiler installed.
 
-    Returns ``(rows, profile_summary)``.  The kernels build their own
-    schedulers internally, so the profiler rides the
+    Returns ``(rows, profile_summary)``.  The kernel runs at ``jobs=1``,
+    because the profiler books only the runs of its own process.  The
+    kernels build their own schedulers internally, so the profiler rides the
     :func:`repro.ioa.scheduler.set_default_profiler` seam; its cache
     window starts at the profiler's construction, so the summary's
     ``cache`` block is the kernel's own memo activity (hit rates on the
@@ -140,7 +141,7 @@ def profiled_kernel_run(spec: BenchSpec, quick: bool = False, jobs: int = 1):
     profiler = StepProfiler()
     previous = set_default_profiler(profiler)
     try:
-        rows = spec.run_kernel(quick=quick, jobs=jobs)
+        rows = spec.run_kernel(quick=quick)
     finally:
         set_default_profiler(previous)
     return rows, profiler.summary()
@@ -169,21 +170,6 @@ def print_profile(bench_id: str, summary: Dict[str, Any]) -> None:
             f"{stats['hit_rate']:.1%} ({stats['hits']}/{stats['hits'] + stats['misses']})",
             file=sys.stderr,
         )
-
-
-def record_bench_in_ledger(
-    ledger_path: str,
-    artifact_path: Path,
-    profile: Optional[Dict[str, Any]] = None,
-) -> None:
-    """Append one bench artifact's content-addressed ledger entry."""
-    from repro.obs.ledger import RunLedger
-
-    with open(artifact_path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    RunLedger(ledger_path).record_bench(
-        doc, path=str(artifact_path), profile=profile
-    )
 
 
 def pop_option(args, name: str) -> Optional[str]:
@@ -231,9 +217,10 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
     """Standalone CLI for one benchmark: run, print, persist.
 
     ``--profile`` additionally books the kernel's step phases and cache
-    hit rates (:mod:`repro.obs.prof`) into ``PROFILE_<ID>.json``;
-    ``--ledger PATH`` appends a content-addressed record of the emitted
-    artifact to the run ledger at PATH (:mod:`repro.obs.ledger`);
+    hit rates (:mod:`repro.obs.prof`) into ``PROFILE_<ID>.json``; it
+    runs the kernel serially, so ``--profile`` with ``--jobs N > 1`` is
+    a usage error (the profiler would see only the runs that stay in
+    this process);
     ``--compiled`` routes every run the kernel makes through the
     compiled core (:mod:`repro.compiled`, via
     ``set_compiled_default(True)``, which forked ``--jobs N`` workers
@@ -244,7 +231,6 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         jobs = pop_jobs(args) or 1
-        ledger_path = pop_option(args, "--ledger")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -257,7 +243,13 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
     if unknown:
         print(
             f"usage: python benchmarks/bench_{spec.bench_id}_*.py "
-            "[--quick] [--jobs N] [--profile] [--compiled] [--ledger PATH]",
+            "[--quick] [--jobs N] [--profile] [--compiled]",
+            file=sys.stderr,
+        )
+        return 2
+    if profile and jobs > 1:
+        print(
+            f"error: --profile runs the kernel serially; drop --jobs {jobs}",
             file=sys.stderr,
         )
         return 2
@@ -268,7 +260,7 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
     start = time.perf_counter()
     try:
         if profile:
-            rows, summary = profiled_kernel_run(spec, quick=quick, jobs=jobs)
+            rows, summary = profiled_kernel_run(spec, quick=quick)
         else:
             rows = spec.run_kernel(quick=quick, jobs=jobs)
     finally:
@@ -292,7 +284,4 @@ def bench_main(spec: BenchSpec, argv: Optional[Sequence[str]] = None) -> int:
         profile_path = write_profile(spec, summary)
         print_profile(spec.bench_id, summary)
         print(f"[{spec.bench_id}] profile -> {profile_path}", file=sys.stderr)
-    if ledger_path is not None:
-        record_bench_in_ledger(ledger_path, path, profile=summary)
-        print(f"[{spec.bench_id}] ledger -> {ledger_path}", file=sys.stderr)
     return 0

@@ -4,8 +4,7 @@ persist its ``BENCH_<ID>.json`` artifact (docs/EXPERIMENTS.md).
 Usage::
 
     python benchmarks/run_sweep.py [--quick] [--only e10,a05] [--jobs N]
-                                   [--profile] [--compiled] [--ledger PATH]
-                                   [--cache DIR]
+                                   [--profile] [--compiled] [--cache DIR]
 
 ``--quick`` asks each kernel for its scaled-down parameterization (the
 same flag the standalone ``python benchmarks/bench_*.py --quick`` CLIs
@@ -24,9 +23,7 @@ parent process, in bench order.
 it; the parent writes the files).  ``--compiled`` routes every scheduler/tree
 run through the compiled core (:mod:`repro.compiled`) — byte-identical
 series, different wall times; the perf-guard CI job sweeps both paths
-and diffs them.  ``--ledger PATH`` appends one content-addressed record
-per emitted artifact to the run ledger at PATH.  No flag changes any
-series.
+and diffs them.  No flag changes any series.
 
 ``--cache DIR`` makes the sweep incremental through a content-addressed
 :class:`repro.cache.ResultStore` at DIR: each kernel's measured rows
@@ -61,7 +58,6 @@ from _helpers import (  # noqa: E402
     print_profile,
     print_series,
     profiled_kernel_run,
-    record_bench_in_ledger,
     write_profile,
 )
 
@@ -102,7 +98,7 @@ def _run_one(item):
     start = time.perf_counter()
     try:
         if profile:
-            rows, summary = profiled_kernel_run(spec, quick=quick, jobs=1)
+            rows, summary = profiled_kernel_run(spec, quick=quick)
         else:
             rows = spec.run_kernel(quick=quick, jobs=1)
     except Exception:
@@ -139,7 +135,6 @@ def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         jobs = pop_jobs(args) or 1
-        ledger_path = pop_option(args, "--ledger")
         cache_dir = pop_option(args, "--cache")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -169,7 +164,7 @@ def main(argv=None) -> int:
     cached_rows = {}
     if cache_dir is not None:
         from repro.cache import ResultStore
-        from repro.obs.ledger import digest
+        from repro.runner.spec import digest
 
         store = ResultStore(cache_dir)
         if profile:
@@ -252,8 +247,6 @@ def main(argv=None) -> int:
                 f"[{spec.bench_id}] profile -> {profile_path}",
                 file=sys.stderr,
             )
-        if ledger_path is not None:
-            record_bench_in_ledger(ledger_path, path, profile=summary)
     if store is not None:
         print(
             f"sweep-cache: hits={len(cached_rows)} misses={len(to_run)} "

@@ -36,6 +36,7 @@ from repro.runner import (
     run_spec,
     sweep,
 )
+from repro.runner.spec import spec_digest
 
 # -- One-run experiment helpers (repro.analysis) ----------------------------
 from repro.analysis.checkers import ConsensusRunResult, run_consensus_experiment
@@ -148,12 +149,6 @@ from repro.obs.compare import (
     first_divergence,
 )
 from repro.obs.instrument import Instrumentation, coerce_instrument
-from repro.obs.ledger import (
-    RunLedger,
-    series_digest,
-    spec_digest,
-    validate_ledger_entry,
-)
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import (
     CacheCounter,
@@ -233,6 +228,7 @@ __all__ = [
     "derive_seeds",
     "parallel_map",
     "run_spec",
+    "spec_digest",
     "sweep",
     # one-run helpers
     "ConsensusRunResult",
@@ -324,7 +320,6 @@ __all__ = [
     "MetricsRegistry",
     "MultiObserver",
     "Observer",
-    "RunLedger",
     "RunReport",
     "SeriesDrift",
     "StepProfiler",
@@ -340,10 +335,7 @@ __all__ = [
     "first_divergence",
     "make_bench_artifact",
     "reset_cache_stats",
-    "series_digest",
-    "spec_digest",
     "validate_bench_artifact",
-    "validate_ledger_entry",
     "validate_profile",
     # static analysis
     "ContractReport",

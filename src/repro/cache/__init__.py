@@ -3,7 +3,7 @@
 :mod:`repro.cache.store`
     :class:`ResultStore` — an on-disk store of pickled
     ``ExperimentResult`` objects keyed by the SHA-256 of the spec's run
-    identity (``spec.meta()``, the run ledger's key), with integrity
+    identity (``spec.meta()``, hashed by ``spec_digest``), with integrity
     digests, atomic writes, and automatic version/engine invalidation.
     Wired into the engine as ``BatchRunner(cache=...)``: a batch
     partitions into hits/misses, executes only the misses, and

@@ -6,9 +6,8 @@ is a pure function of its :class:`~repro.runner.spec.ExperimentSpec`
 *content address*: the store keys each
 :class:`~repro.runner.spec.ExperimentResult` by
 ``sha256(canonical_json(spec.meta()))`` — the spec's derived run
-identity, exactly the key the run ledger (:mod:`repro.obs.ledger`)
-already records — so a re-run, a
-CI sweep, or another worker machine sharing the store directory only
+identity (:func:`repro.runner.spec.spec_digest`) — so a re-run, a CI
+sweep, or another worker machine sharing the store directory only
 executes cells it has never seen.
 
 Store layout (``docs/CACHE.md``)::
@@ -45,8 +44,7 @@ Invalidation is spec-level and automatic:
 
 Hit/miss/evict traffic flows through the existing cache telemetry
 (:func:`repro.obs.prof.cache_counter`, name ``store.results``), so
-profiles and ledgers report store behavior exactly like the hot-path
-memos.
+profiles report store behavior exactly like the hot-path memos.
 """
 
 from __future__ import annotations
@@ -59,9 +57,8 @@ import tempfile
 from typing import Any, Dict, List, Optional
 
 from repro import __version__
-from repro.obs.ledger import digest, spec_digest
 from repro.obs.prof import CacheCounter, cache_counter
-from repro.runner.spec import INSTRUMENTATION
+from repro.runner.spec import INSTRUMENTATION, digest, spec_digest
 
 #: The store entry schema identifier.
 CACHE_SCHEMA = "repro.cache/1"

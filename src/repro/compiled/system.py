@@ -35,8 +35,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, Tuple
 
 from repro.compiled.tables import CompiledAutomaton, compile_automaton
-from repro.obs.ledger import canonical_json
 from repro.obs.prof import cache_counter
+from repro.runner.spec import canonical_json
 
 #: Schema tag of :class:`CompiledSystemMeta` (and the fingerprint payload).
 SCHEMA = "repro.compiled/1"

@@ -173,7 +173,7 @@ class CompiledAutomaton(Automaton):
         return len(self._snap_full)
 
     def table_sizes(self) -> Dict[str, int]:
-        """Current table cardinalities (for metadata and the run ledger)."""
+        """Current table cardinalities (for the compiled system's metadata)."""
         return {
             "actions": len(self._actions),
             "configs": self.num_configs,

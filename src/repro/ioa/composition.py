@@ -56,9 +56,9 @@ Correctness rests on the module contract that states are immutable and
 ``enabled_locally`` is a pure function of the state
 (:mod:`repro.ioa.automaton`); ``tests/properties`` cross-checks the cache
 against brute-force re-enumeration on randomized compositions.  Caching
-can be disabled per instance (``use_enabled_cache=False``) or
-process-wide (:func:`set_enabled_cache_default`) — the disabled path is
-the original predicate scan, which CI uses as the semantics oracle.
+has one toggle, the process-wide :func:`set_enabled_cache_default`; a
+composition built while it is off takes the original predicate scan,
+which CI uses as the semantics oracle.
 
 Every memo probe tallies into the process-global cache telemetry
 (``composition.dispatch`` / ``composition.task`` / ``composition.enabled``
@@ -142,7 +142,6 @@ class Composition(Automaton):
         components: Iterable[Automaton],
         name: str = "",
         instrument=None,
-        use_enabled_cache: Optional[bool] = None,
     ):
         components = tuple(components)
         if not components:
@@ -165,9 +164,7 @@ class Composition(Automaton):
         # Hot-path memos (see the module docstring).  All three are pure
         # caches: dispatch of an action and enabledness of a state piece
         # never change, so no invalidation is needed.
-        self._use_cache: bool = (
-            _cache_default if use_enabled_cache is None else bool(use_enabled_cache)
-        )
+        self._use_cache: bool = _cache_default
         #: action -> (owner index or None, participant index tuple)
         self._dispatch_memo: Dict[Action, Tuple[Optional[int], Tuple[int, ...]]] = {}
         #: action -> namespaced task name or None

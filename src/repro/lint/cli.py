@@ -5,7 +5,7 @@ Usage::
     python -m repro.lint [paths ...]
         [--select CODES] [--ignore CODES]
         [--format text|json|github]
-        [--contract] [--contract-max-states N] [--contract-cache PATH]
+        [--contract] [--contract-max-states N]
         [--baseline PATH] [--write-baseline]
 
 * With no paths, lints ``src``, ``benchmarks`` and ``examples`` (those
@@ -16,9 +16,6 @@ Usage::
 * ``--contract`` additionally runs the layer-1 semantic automaton
   checks (REPROC01-REPROC06) over every registered detector, the core
   system automata, the algorithm processes, and the spec objects.
-  ``--contract-cache PATH`` memoises their findings keyed on a digest
-  of the ``repro`` sources, so unchanged CI re-runs skip the
-  bounded exploration.
 * ``--format github`` renders findings as GitHub Actions ``::error``
   annotations.
 * The resolved rule selection is echoed to stderr
@@ -30,8 +27,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import hashlib
-import json
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -48,69 +43,6 @@ from repro.lint.findings import Finding
 DEFAULT_PATHS = ("src", "benchmarks", "examples")
 
 USAGE_EXIT = 2
-
-#: Schema tag of the ``--contract-cache`` file.
-CONTRACT_CACHE_SCHEMA = "repro.lint-contract-cache/1"
-
-
-def contract_cache_key(max_states: Optional[int]) -> str:
-    """A digest that changes whenever the contract verdicts could.
-
-    Hashes every ``repro`` source file (path + contents), the package
-    version, and the effective state bound — the full input surface of
-    the bounded exploration, which imports nothing outside ``repro``.
-    """
-    from repro import __version__
-
-    digest = hashlib.sha256()
-    digest.update(
-        f"{CONTRACT_CACHE_SCHEMA}:{__version__}:{max_states}".encode()
-    )
-    package_root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    sources: List[str] = []
-    for dirpath, dirnames, filenames in os.walk(package_root):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in filenames:
-            if name.endswith(".py"):
-                sources.append(os.path.join(dirpath, name))
-    for path in sorted(sources):
-        rel = os.path.relpath(path, package_root).replace(os.sep, "/")
-        digest.update(rel.encode())
-        digest.update(b"\0")
-        with open(path, "rb") as fp:
-            digest.update(fp.read())
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def load_contract_cache(path: str, key: str) -> Optional[List[Finding]]:
-    """The cached contract findings, or ``None`` on miss/stale/corrupt."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except (OSError, ValueError):
-        return None
-    if not isinstance(doc, dict) or doc.get("schema") != CONTRACT_CACHE_SCHEMA:
-        return None
-    if doc.get("key") != key:
-        return None
-    try:
-        return [Finding(**entry) for entry in doc.get("findings", [])]
-    except TypeError:
-        return None
-
-
-def write_contract_cache(
-    path: str, key: str, findings: Sequence[Finding]
-) -> None:
-    doc = {
-        "schema": CONTRACT_CACHE_SCHEMA,
-        "key": key,
-        "findings": [f.to_dict() for f in findings],
-    }
-    with open(path, "w", encoding="utf-8") as fp:
-        json.dump(doc, fp, indent=2, sort_keys=True)
-        fp.write("\n")
 
 
 def _split_codes(raw: Optional[str]) -> Optional[List[str]]:
@@ -160,15 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="override the per-automaton reachable-state bound",
-    )
-    parser.add_argument(
-        "--contract-cache",
-        default=None,
-        metavar="PATH",
-        help=(
-            "memoise contract findings in PATH, keyed on a digest of "
-            "the repro sources (only meaningful with --contract)"
-        ),
     )
     parser.add_argument(
         "--baseline",
@@ -227,40 +150,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 file=sys.stderr,
             )
             return USAGE_EXIT
-        cached: Optional[List[Finding]] = None
-        cache_key = ""
-        if args.contract_cache:
-            cache_key = contract_cache_key(args.contract_max_states)
-            cached = load_contract_cache(args.contract_cache, cache_key)
-        if cached is not None:
-            print(
-                f"repro-lint: contract cache hit ({args.contract_cache})",
-                file=sys.stderr,
-            )
-            extra.extend(cached)
-        else:
-            from repro.lint.contract import (
-                DEFAULT_MAX_STATES,
-                default_contract_subjects,
-                run_contract_checks,
-            )
+        from repro.lint.contract import (
+            DEFAULT_MAX_STATES,
+            default_contract_subjects,
+            run_contract_checks,
+        )
 
-            subjects = default_contract_subjects()
-            if args.contract_max_states is not None:
-                for subject in subjects:
-                    if subject.max_states == DEFAULT_MAX_STATES:
-                        subject.max_states = args.contract_max_states
-            contract_report = run_contract_checks(subjects)
-            extra.extend(contract_report.findings)
-            if args.contract_cache:
-                write_contract_cache(
-                    args.contract_cache, cache_key, contract_report.findings
-                )
-                print(
-                    "repro-lint: contract cache written "
-                    f"({args.contract_cache})",
-                    file=sys.stderr,
-                )
+        subjects = default_contract_subjects()
+        if args.contract_max_states is not None:
+            for subject in subjects:
+                if subject.max_states == DEFAULT_MAX_STATES:
+                    subject.max_states = args.contract_max_states
+        extra.extend(run_contract_checks(subjects).findings)
 
     try:
         result = lint_paths(

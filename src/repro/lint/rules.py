@@ -140,15 +140,13 @@ WALL_CLOCK_TODAY: FrozenSet[str] = frozenset(
     }
 )
 
-#: path-suffix -> qualified names allowed there.  The three entries are
-#: the ``created_unix`` stamps of the benchmark artifact, the profile
-#: summary and the run ledger — each a read *about* the current moment
-#: behind an injectable ``now_fn`` seam, flowing into no trace or series
-#: (docs/LINT.md).
+#: path-suffix -> qualified names allowed there.  The two entries are
+#: the ``created_unix`` stamps of the benchmark artifact and the profile
+#: summary — each a read *about* the current moment behind an injectable
+#: ``now_fn`` seam, flowing into no trace or series (docs/LINT.md).
 WALL_CLOCK_ALLOWLIST: Dict[str, FrozenSet[str]] = {
     "repro/obs/schema.py": frozenset({"time.time"}),
     "repro/obs/prof.py": frozenset({"time.time"}),
-    "repro/obs/ledger.py": frozenset({"time.time"}),
 }
 
 

@@ -29,10 +29,6 @@ nothing here runs unless an observer or a metrics registry is attached.
     wrappers around a run's per-step callables book the step phases,
     plus the process-global cache hit/miss/evict counters the hot-path
     memos increment.
-``repro.obs.ledger``
-    The content-addressed run ledger: append-only JSONL records keyed
-    by the SHA-256 of each run's canonical identity (also a CLI:
-    ``python -m repro.obs.ledger``).
 ``repro.obs.compare``
     The BENCH drift comparator: exact series comparison with
     first-divergence reporting, tolerance-banded wall-time trends (also
@@ -69,12 +65,6 @@ _EXPORTS = {
     "cache_stats_snapshot": "repro.obs.prof",
     "reset_cache_stats": "repro.obs.prof",
     "validate_profile": "repro.obs.prof",
-    "LEDGER_SCHEMA": "repro.obs.ledger",
-    "RunLedger": "repro.obs.ledger",
-    "make_ledger_entry": "repro.obs.ledger",
-    "series_digest": "repro.obs.ledger",
-    "spec_digest": "repro.obs.ledger",
-    "validate_ledger_entry": "repro.obs.ledger",
     "SeriesDrift": "repro.obs.compare",
     "compare_docs": "repro.obs.compare",
     "compare_dirs": "repro.obs.compare",
@@ -123,12 +113,6 @@ __all__ = [
     "cache_stats_snapshot",
     "reset_cache_stats",
     "validate_profile",
-    "LEDGER_SCHEMA",
-    "RunLedger",
-    "make_ledger_entry",
-    "series_digest",
-    "spec_digest",
-    "validate_ledger_entry",
     "SeriesDrift",
     "compare_docs",
     "compare_dirs",

@@ -57,7 +57,7 @@ Cache telemetry (:func:`cache_counter`)
     increments ``tree.task-edges`` / ``tree.vertices``.  Counts are pure
     functions of the executed steps, so they are themselves deterministic
     observables.  :func:`cache_stats_snapshot` /
-    :func:`cache_stats_delta` turn them into profile/ledger fields, and
+    :func:`cache_stats_delta` turn them into profile fields, and
     the scheduler exports per-run deltas into an attached
     :class:`~repro.obs.metrics.MetricsRegistry` as ``cache.<name>.<kind>``
     counters.
@@ -65,8 +65,8 @@ Cache telemetry (:func:`cache_counter`)
 The profile summary (:meth:`StepProfiler.summary`) is a JSON-ready
 document (schema ``repro.profile/1``) stamped via an injectable
 ``now_fn`` — together with the benchmark-artifact stamp in
-:mod:`repro.obs.schema` and the ledger stamp in :mod:`repro.obs.ledger`,
-one of the three REPRO001 wall-clock allowlist entries (docs/LINT.md).
+:mod:`repro.obs.schema`, one of the two REPRO001 wall-clock allowlist
+entries (docs/LINT.md).
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ Validate a file with ``python -m repro.obs.schema BENCH_E10.json``.
 
 from __future__ import annotations
 
+import functools
 import json
 import platform
 import subprocess
@@ -67,7 +68,17 @@ def jsonify_cell(value: Any) -> Any:
 
 
 def environment_info() -> Dict[str, str]:
-    """Python, platform and git revision of the measuring machine."""
+    """Python, platform and git revision of the measuring machine.
+
+    Probed once per process: the answer cannot change within one, and a
+    ``git`` subprocess per artifact costs a few milliseconds.  Every call
+    returns its own copy.
+    """
+    return dict(_environment_probe())
+
+
+@functools.lru_cache(maxsize=None)
+def _environment_probe() -> Dict[str, str]:
     info = {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),

@@ -45,6 +45,8 @@ from __future__ import annotations
 import collections.abc
 import dataclasses
 import functools
+import hashlib
+import json
 import time
 import types
 from dataclasses import dataclass, field
@@ -123,6 +125,37 @@ def encode_key(value: Any, opaque: Optional[List[str]] = None) -> Any:
     if opaque is not None:
         opaque.append(tag)
     return tag
+
+
+def canonical_json(obj: Any) -> str:
+    """The canonical serialization digests are computed over.
+
+    Sorted keys, no whitespace, no NaN — byte-identical for equal values
+    regardless of construction order, which is what makes the SHA-256 a
+    *content* address.
+    """
+    return json.dumps(
+        obj,
+        sort_keys=True,
+        separators=(",", ":"),
+        ensure_ascii=True,
+        allow_nan=False,
+    )
+
+
+def digest(obj: Any) -> str:
+    """``sha256:<hex>`` of the canonical JSON of ``obj``."""
+    text = canonical_json(obj)
+    return "sha256:" + hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def spec_digest(spec: Any) -> str:
+    """The content address of one spec: ``digest(spec.meta())``.
+
+    ``meta()`` is the spec's run identity, derived field by field
+    (:func:`encode_key`); the result store keys on this digest.
+    """
+    return digest(spec.meta())
 
 
 @dataclass
@@ -389,9 +422,8 @@ class ExperimentSpec:
     def meta(self) -> Dict[str, Any]:
         """The run identity: every field but instrumentation and engine.
 
-        JSON-ready (:func:`encode_key`); :func:`repro.obs.ledger.spec_digest`
-        hashes it into the key the result store and the run ledger use,
-        and run reports carry it.
+        JSON-ready (:func:`encode_key`); :func:`spec_digest` hashes it
+        into the result store's key, and run reports carry it.
         """
         return self._key(_OUT_OF_RUN_KEY)
 

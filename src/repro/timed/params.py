@@ -2,8 +2,8 @@
 
 Everything here is a plain frozen dataclass of hashable values: the
 parameters pickle, compare by value, hash, and enter
-``ExperimentSpec.meta()`` field by field — and therefore the run ledger /
-result-cache key.  Time is an integer
+``ExperimentSpec.meta()`` field by field — and therefore the result-cache
+key.  Time is an integer
 tick counter owned by the timed automaton; no wall clock exists anywhere
 in this layer (REPRO001-clean by construction).
 

@@ -11,7 +11,7 @@ from repro.algorithms.participant_consensus import (
     consensus_from_participant_algorithm,
 )
 from repro.cache import ResultStore
-from repro.obs.ledger import spec_digest
+from repro.runner.spec import spec_digest
 from repro.runner import BatchRunner, ExperimentSpec, sweep
 
 LOCS = (0, 1, 2)

@@ -6,7 +6,7 @@ import os
 import pickle
 
 from repro.cache import CACHE_SCHEMA, ENGINE_REVISION, ResultStore, cacheable
-from repro.obs.ledger import spec_digest
+from repro.runner.spec import spec_digest
 from repro.runner import ExperimentSpec
 
 LOCS = (0, 1, 2)

@@ -25,6 +25,16 @@ PING = Action("ping", 0)
 PONG = Action("pong", 1)
 
 
+def brute_force(components):
+    """A composition built with the enabled cache off: the predicate
+    scan every cached answer is checked against."""
+    previous = set_enabled_cache_default(False)
+    try:
+        return Composition(components)
+    finally:
+        set_enabled_cache_default(previous)
+
+
 def pinger():
     """Outputs ping when its bit is 0; receiving pong resets the bit."""
     return FunctionalAutomaton(
@@ -144,9 +154,7 @@ class TestEnabledCacheLayer:
 
     def test_cached_matches_uncached_everywhere(self):
         cached = compose(pinger(), ponger())
-        uncached = Composition(
-            [pinger(), ponger()], use_enabled_cache=False
-        )
+        uncached = brute_force([pinger(), ponger()])
         for state in self._states():
             assert cached.enabled_by_task(state) == (
                 uncached.enabled_by_task(state)
@@ -240,7 +248,7 @@ class TestEnabledCacheLayer:
         assert participants == (0, 1)  # ping synchronizes both
 
     def test_uncached_composition_keeps_memos_empty(self):
-        c = Composition([pinger(), ponger()], use_enabled_cache=False)
+        c = brute_force([pinger(), ponger()])
         c.apply((0, 0), PING)
         c.enabled_by_task((0, 0))
         c.task_of(PING)
@@ -294,16 +302,6 @@ class TestEnabledCacheLayer:
             set_enabled_cache_default(previous)
         assert enabled_cache_default() is previous
 
-    def test_instance_override_beats_default(self):
-        previous = set_enabled_cache_default(False)
-        try:
-            c = Composition(
-                [pinger(), ponger()], use_enabled_cache=True
-            )
-            assert c._use_cache
-        finally:
-            set_enabled_cache_default(previous)
-
     def test_cache_cap_clears_memo(self):
         c = compose(pinger(), ponger())
         c.ENABLED_CACHE_CAP = 2
@@ -354,9 +352,8 @@ class TestDispatchClassification:
             transition=lambda s, a: s,
             enabled_fn=lambda s: [self.WAVE],
         )
-        return Composition(
-            [speaker, listener, bystander], use_enabled_cache=use_cache
-        )
+        components = [speaker, listener, bystander]
+        return Composition(components) if use_cache else brute_force(components)
 
     @pytest.mark.parametrize("use_cache", [True, False])
     def test_owner_and_participants_by_kind(self, use_cache):

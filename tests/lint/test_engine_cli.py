@@ -273,56 +273,10 @@ class TestSelectedRulesLine:
         assert "repro-lint: selected rules: REPRO007,REPRO008" in err
 
 
-class TestContractCache:
-    def test_miss_writes_then_hits(self, clean_file, tmp_path, capsys):
-        cache = str(tmp_path / "contract.json")
-        args = [
-            clean_file,
-            "--contract",
-            "--contract-max-states",
-            "16",
-            "--contract-cache",
-            cache,
-        ]
+class TestContractFlag:
+    def test_contract_run_over_a_clean_file_exits_zero(self, clean_file):
+        args = [clean_file, "--contract", "--contract-max-states", "16"]
         assert main(args) == 0
-        err = capsys.readouterr().err
-        assert "contract cache written" in err
-        with open(cache) as fp:
-            doc = json.load(fp)
-        assert doc["schema"] == "repro.lint-contract-cache/1"
-        assert doc["findings"] == []
-        assert main(args) == 0
-        assert "contract cache hit" in capsys.readouterr().err
-
-    def test_stale_key_is_a_miss(self, clean_file, tmp_path, capsys):
-        from repro.lint.cli import load_contract_cache, write_contract_cache
-
-        cache = str(tmp_path / "contract.json")
-        write_contract_cache(cache, "stale-key", [])
-        assert load_contract_cache(cache, "fresh-key") is None
-        assert load_contract_cache(cache, "stale-key") == []
-
-    def test_corrupt_cache_is_a_miss(self, tmp_path):
-        from repro.lint.cli import load_contract_cache
-
-        cache = str(tmp_path / "contract.json")
-        with open(cache, "w") as fp:
-            fp.write("not json{")
-        assert load_contract_cache(cache, "k") is None
-
-    def test_key_tracks_max_states(self):
-        from repro.lint.cli import contract_cache_key
-
-        assert contract_cache_key(16) != contract_cache_key(32)
-        assert contract_cache_key(16) == contract_cache_key(16)
-
-    def test_cached_findings_round_trip(self, tmp_path):
-        from repro.lint.cli import load_contract_cache, write_contract_cache
-
-        cache = str(tmp_path / "contract.json")
-        findings = [Finding("a.py", 3, 1, "REPROC01", "msg")]
-        write_contract_cache(cache, "k", findings)
-        assert load_contract_cache(cache, "k") == findings
 
 
 class TestBaseline:

@@ -9,7 +9,13 @@ other rule stays silent — and a clean twin on which nothing fires.
 import ast
 import textwrap
 
-from repro.lint.rules import ALL_RULES, RULES_BY_CODE, ModuleSource, rule_codes
+from repro.lint.rules import (
+    ALL_RULES,
+    RULES_BY_CODE,
+    WALL_CLOCK_ALLOWLIST,
+    ModuleSource,
+    rule_codes,
+)
 
 
 def run_rules(source):
@@ -90,16 +96,17 @@ class TestWallClock:
         other = ModuleSource("src/repro/obs/other.py", source, ast.parse(source))
         assert [f.code for f in rule.check(other)] == ["REPRO001"]
 
-    def test_all_three_stamp_modules_allowlisted(self):
-        # The three persisted-document stamps (bench artifact, profile
-        # summary, ledger entry) share the injectable now_fn seam.
+    def test_both_stamp_modules_allowlisted(self):
+        # The two persisted-document stamps (bench artifact, profile
+        # summary) share the injectable now_fn seam, and nothing else is
+        # sanctioned.
+        assert sorted(WALL_CLOCK_ALLOWLIST) == [
+            "repro/obs/prof.py",
+            "repro/obs/schema.py",
+        ]
         source = "import time\n\n\ndef make(now_fn=time.time):\n    return now_fn\n"
         rule = RULES_BY_CODE["REPRO001"]
-        for path in (
-            "src/repro/obs/schema.py",
-            "src/repro/obs/prof.py",
-            "src/repro/obs/ledger.py",
-        ):
+        for path in ("src/repro/obs/schema.py", "src/repro/obs/prof.py"):
             module = ModuleSource(path, source, ast.parse(source))
             assert list(rule.check(module)) == [], path
 

@@ -1,7 +1,9 @@
 """The BENCH_*.json artifact schema: construction and validation."""
 
 import json
+import subprocess
 
+from repro.obs import schema
 from repro.obs.schema import (
     BENCH_SCHEMA,
     environment_info,
@@ -56,6 +58,25 @@ class TestMakeArtifact:
     def test_environment_info_keys(self):
         env = environment_info()
         assert set(env) >= {"python", "platform"}
+
+    def test_environment_is_probed_once_and_copied(self, monkeypatch):
+        calls = []
+
+        def fake_run(*args, **kwargs):
+            calls.append(args)
+            return subprocess.CompletedProcess(args, 0, stdout="abc1234\n")
+
+        monkeypatch.setattr(schema.subprocess, "run", fake_run)
+        schema._environment_probe.cache_clear()
+        try:
+            first = environment_info()
+            first["git_sha"] = "edited"
+            second = environment_info()
+            assert second["git_sha"] == "abc1234"
+            assert second is not environment_info()
+            assert len(calls) == 1
+        finally:
+            schema._environment_probe.cache_clear()
 
     def test_now_fn_injects_the_creation_stamp(self):
         doc = make_bench_artifact(

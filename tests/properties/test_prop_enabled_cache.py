@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import FunctionalAutomaton
-from repro.ioa.composition import Composition
+from repro.ioa.composition import Composition, set_enabled_cache_default
 from repro.ioa.signature import FiniteActionSet, Signature
 from repro.obs.prof import cache_counter
 from repro.system.crash import CrashAutomaton
@@ -121,8 +121,12 @@ def random_systems(draw):
 def make_pair(components):
     """Cached composition and its brute-force twin over the same
     (stateless, shareable) component objects."""
-    cached = Composition(components, name="sys", use_enabled_cache=True)
-    uncached = Composition(components, name="sys", use_enabled_cache=False)
+    cached = Composition(components, name="sys")
+    previous = set_enabled_cache_default(False)
+    try:
+        uncached = Composition(components, name="sys")
+    finally:
+        set_enabled_cache_default(previous)
     return cached, uncached
 
 
@@ -190,7 +194,7 @@ def test_memo_reuse_never_leaks_between_states(system):
     identical snapshots at every step: warm memos carry no hidden state."""
     components, crashes, steps = system
     warm, _ = make_pair(components)
-    replay = Composition(components, name="sys", use_enabled_cache=True)
+    replay = Composition(components, name="sys")
 
     state = warm.initial_state()
     trail = []

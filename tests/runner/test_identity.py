@@ -1,10 +1,12 @@
-"""The derived spec identity: key roles, the encoder, and cacheability.
+"""The derived spec identity: key roles, the encoder, the digest, and
+cacheability.
 
 Every spec key is derived from ``dataclasses.fields`` through one
 encoder (``encode_key``); each ExperimentSpec field declares its key
 role once, in its metadata.  These tests pin the roles, show that a new
-field joins the keys by default, and that values the encoder can only
-name by ``id`` keep a spec out of the result cache.
+field joins the keys by default, that ``spec_digest`` hashes the run
+identity canonically, and that values the encoder can only name by
+``id`` keep a spec out of the result cache.
 """
 
 from __future__ import annotations
@@ -12,17 +14,21 @@ from __future__ import annotations
 import dataclasses
 import functools
 
+import pytest
+
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
 from repro.cache.store import cacheable
 from repro.detectors.registry import resolve_detector
 from repro.faults.plan import ChannelFaults, CrashRule, FaultPlan
-from repro.obs.ledger import spec_digest
 from repro.runner.spec import (
     ENGINE,
     INSTRUMENTATION,
     RUN,
     ExperimentSpec,
+    canonical_json,
+    digest,
     encode_key,
+    spec_digest,
 )
 from repro.system.fault_pattern import FaultPattern
 from repro.timed.params import DelayModel, TimedParams
@@ -149,6 +155,43 @@ class TestEncoding:
         assert by_mapping.timed == by_params.timed
         assert spec_digest(by_mapping) == spec_digest(by_params)
         assert spec_digest(timed(None)) == spec_digest(timed(TimedParams()))
+
+
+class TestDigests:
+    def test_canonical_json_is_order_free(self):
+        assert canonical_json({"b": 1, "a": [2, 3]}) == '{"a":[2,3],"b":1}'
+        assert digest({"a": 1, "b": 2}) == digest({"b": 2, "a": 1})
+
+    def test_digest_prefix_and_stability(self):
+        d = digest({"x": 1})
+        assert d.startswith("sha256:") and len(d) == 7 + 64
+        assert d == digest({"x": 1})
+        assert d != digest({"x": 2})
+
+    def test_canonical_json_rejects_nan(self):
+        with pytest.raises(ValueError):
+            canonical_json({"x": float("nan")})
+
+
+class TestSpecFingerprint:
+    def test_equal_specs_share_an_address(self):
+        assert spec_digest(consensus_spec()) == spec_digest(consensus_spec())
+
+    def test_instrumentation_flags_do_not_change_the_address(self):
+        plain = spec_digest(consensus_spec())
+        assert plain == spec_digest(consensus_spec(instrument=True))
+        assert plain == spec_digest(consensus_spec(profile=True))
+
+    def test_behavior_fields_change_the_address(self):
+        plain = spec_digest(consensus_spec(seed=7))
+        assert plain != spec_digest(consensus_spec(seed=8))
+        assert plain != spec_digest(consensus_spec(seed=7, crashes={1: 10}))
+
+    def test_fingerprint_is_json_canonicalizable(self):
+        fp = consensus_spec(seed=7).meta()
+        canonical_json(fp)  # must not raise
+        assert fp["algorithm"]
+        assert fp["seed"] == 7
 
 
 class TestCacheable:

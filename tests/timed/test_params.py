@@ -173,7 +173,7 @@ class TestSummary:
 
     def test_summary_tracks_every_knob(self):
         # Timed runs are *defined* by their timing assumptions; the
-        # summary is their cache/ledger identity, so no knob may alias.
+        # summary is their cache identity, so no knob may alias.
         a = encode_key(TimedParams())
         for override in (
             {"heartbeat_period": 5},

@@ -10,7 +10,7 @@ from repro.detectors.eventually_perfect import EventuallyPerfect
 from repro.detectors.omega import Omega
 from repro.detectors.perfect import Perfect
 from repro.faults import CrashRule, FaultPlan
-from repro.obs.ledger import spec_digest
+from repro.runner.spec import spec_digest
 from repro.runner import ExperimentSpec, run_spec
 
 LOCS = (0, 1, 2)
@@ -88,7 +88,7 @@ class TestResolution:
         }
 
     def test_fingerprint_tracks_timing_params(self):
-        # The timed knobs are cache/ledger identity: change a timeout,
+        # The timed knobs are cache identity: change a timeout,
         # change the key.
         a = spec_digest(timed_spec(timed={"timeout": 4}))
         b = spec_digest(timed_spec(timed={"timeout": 5}))
