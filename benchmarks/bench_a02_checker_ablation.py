@@ -23,7 +23,6 @@ from _helpers import (
 from repro.core.afd import eventually_forever
 from repro.core.validity import live_locations
 from repro.detectors.omega import Omega, omega_output
-from repro.system.fault_pattern import FaultPattern
 
 
 LOCATIONS = (0, 1)

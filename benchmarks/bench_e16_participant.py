@@ -25,7 +25,6 @@ from repro.problems.consensus import ConsensusProblem
 from repro.system.channel import make_channels
 from repro.system.crash import CrashAutomaton
 from repro.system.environment import ScriptedConsensusEnvironment
-from repro.system.fault_pattern import FaultPattern
 
 
 LOCATIONS = (0, 1, 2)

@@ -34,7 +34,7 @@ Subpackages
     Seeded fault injection (chaos): ``FaultPlan``, faulty channel
     automata, adversarial crash rules, trace-conformance oracles.
 ``repro.obs``
-    Observability: tracing, metrics, run reports, bench artifacts.
+    Observability: tracing, step profiling, run reports, bench artifacts.
 ``repro.lint``
     Two-layer static analysis: the semantic I/O-automaton contract
     checker and the determinism-convention AST linter

@@ -21,7 +21,7 @@ is skipped, so every proposal is 1 and consensus must decide 1;
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, Iterable, Optional, Sequence
+from typing import Dict, Iterable, Optional, Sequence
 
 from repro.ioa.actions import Action
 from repro.ioa.signature import ActionSet, FiniteActionSet

@@ -32,7 +32,7 @@ validity requires — and gossip also recurs forever.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, FrozenSet, Iterable, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import State

@@ -28,7 +28,7 @@ Two precision notes for this asynchronous emulation:
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, Hashable, Iterable, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.ioa.actions import Action
 from repro.ioa.signature import ActionSet, FiniteActionSet

@@ -15,7 +15,7 @@ All the classic reductions among the zoo detectors (P ⪰ ◇P, P ⪰ Omega,
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Optional
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import State

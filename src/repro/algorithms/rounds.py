@@ -18,9 +18,8 @@ application state.
 from __future__ import annotations
 
 from abc import abstractmethod
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import (
-    Any,
     Dict,
     FrozenSet,
     Hashable,

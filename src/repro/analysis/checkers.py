@@ -91,9 +91,8 @@ def run_consensus_experiment(
     :class:`repro.obs.trace.Observer`) sees the run's scheduler events —
     a :class:`~repro.obs.trace.TraceRecorder` also gets the run wrapped
     in a ``"consensus-run"`` span and the two checker verdicts recorded
-    as ``checker`` events; its metrics half (a
-    :class:`repro.obs.metrics.MetricsRegistry`) is attached to the
-    composition and channels.  Default None: uninstrumented.
+    as ``checker`` events; its profiler half books the run's step
+    phases.  Default None: uninstrumented.
 
     ``fault_plan`` injects the channel faults and adversarial crash
     rules of a :class:`~repro.faults.plan.FaultPlan`

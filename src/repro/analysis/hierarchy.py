@@ -15,12 +15,12 @@ running its witness algorithm under a battery of fault patterns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import networkx as nx
 
 from repro.core.ordering import evaluate_reduction
-from repro.detectors.registry import known_reductions, make_detector
+from repro.detectors.registry import known_reductions
 from repro.system.fault_pattern import FaultPattern
 
 #: Known non-reductions (source cannot implement target), with citations.

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean, median
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from repro.ioa.actions import Action
 from repro.ioa.executions import Execution
 from repro.system.fault_pattern import is_crash
 

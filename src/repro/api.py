@@ -149,7 +149,6 @@ from repro.obs.compare import (
     first_divergence,
 )
 from repro.obs.instrument import Instrumentation, coerce_instrument
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import (
     CacheCounter,
     StepProfiler,
@@ -317,7 +316,6 @@ __all__ = [
     # observability
     "CacheCounter",
     "Instrumentation",
-    "MetricsRegistry",
     "MultiObserver",
     "Observer",
     "RunReport",

@@ -20,6 +20,11 @@ resolves through ``derive_seed(spec.seed, "fault-plan")``, so chaos
 sweeps key per seed, as they must — different bound plans build
 different channel automata.
 
+Instrumentation rides each run (``System.run(instrument=...)``), never
+the built automata, whose ``apply`` is pure; so an instrumented
+compiled run records the trace and, timings aside, the run report of
+the interpreted one.
+
 The fingerprint cache is a small LRU (:data:`SPEC_CACHE_CAP` entries);
 per-system transition tables are additionally capped at
 :data:`TABLE_CAP` entries and rebuilt from scratch between runs when

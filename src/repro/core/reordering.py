@@ -19,10 +19,9 @@ canonical (and only possible) matching.
 
 from __future__ import annotations
 
-import itertools
 import random
-from collections import defaultdict, deque
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from collections import defaultdict
+from typing import Dict, Iterator, List, Optional, Sequence, Set
 
 from repro.ioa.actions import Action
 from repro.system.fault_pattern import is_crash

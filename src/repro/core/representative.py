@@ -22,7 +22,7 @@ evaluates both directions and reports the verdict the definitions need.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List
 
 from repro.core.afd import AFD
 

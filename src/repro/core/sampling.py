@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Set
 
 from repro.ioa.actions import Action
 from repro.core.validity import (

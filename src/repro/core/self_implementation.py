@@ -20,7 +20,7 @@ executions.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import State

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
-from repro.ioa.executions import ActionSequence
 from repro.system.fault_pattern import is_crash
 
 

@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton
-from repro.ioa.executions import Trace
 from repro.ioa.scheduler import Injection, Scheduler
 from repro.core.validity import faulty_locations
 from repro.detectors.base import sorted_tuple

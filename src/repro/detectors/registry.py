@@ -23,7 +23,7 @@ from repro.detectors.eventually_perfect import (
 )
 from repro.detectors.omega import OMEGA_OUTPUT, Omega
 from repro.detectors.omega_k import OMEGA_K_OUTPUT, OmegaK, _padded_leader_set
-from repro.detectors.perfect import PERFECT_OUTPUT, Perfect
+from repro.detectors.perfect import Perfect
 from repro.detectors.psi_k import PSI_K_OUTPUT, PsiK
 from repro.detectors.quorum import SIGMA_OUTPUT, Sigma
 from repro.detectors.strong import (

@@ -23,14 +23,11 @@ through an internal ``chan-tick`` action until the head matures), so
 
 which is what lets the oracle negative tests pin each fault type to the
 one oracle that must catch it.
-
-Every injected fault is recorded through the metrics half of the
-``instrument=`` convention as ``faults.<kind>.<channel name>`` counters.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 from repro.faults.plan import ChannelFaults, FaultPlan
 from repro.ioa.actions import Action
@@ -69,9 +66,6 @@ class ChaosChannel(ChannelAutomaton):
         The channel's decision seed — normally
         :meth:`FaultPlan.channel_seed`, so decisions are stable across
         processes and machines.
-    instrument:
-        The unified instrumentation hook; only the metrics half applies
-        (fault counters plus the reliable channel's depth/sends series).
     """
 
     def __init__(
@@ -80,9 +74,8 @@ class ChaosChannel(ChannelAutomaton):
         destination: int,
         faults: ChannelFaults,
         seed: int = 0,
-        instrument=None,
     ):
-        super().__init__(source, destination, instrument=instrument)
+        super().__init__(source, destination)
         self.faults = faults
         self.seed = int(seed)
         self._tick = tick_action(source, destination)
@@ -145,35 +138,21 @@ class ChaosChannel(ChannelAutomaton):
         entries, _seen = state
         return tuple(message for message, _delay in entries)
 
-    def _count_fault(self, kind: str) -> None:
-        if self._metrics is not None:
-            self._metrics.counter(f"faults.{kind}.{self.name}").inc()
-
     def apply(self, state: State, action: Action) -> State:
         entries, seen = state
         if action.name == SEND:
             index = seen
             seen += 1
             if self.will_drop(index):
-                self._count_fault("dropped")
                 return (entries, seen)
             entry = (action.payload[0], self.delay_of(index))
-            if entry[1]:
-                self._count_fault("delayed")
             if self.will_reorder(index) and entries:
                 slot = self.reorder_slot(index, len(entries))
                 entries = entries[:slot] + (entry,) + entries[slot:]
-                self._count_fault("reordered")
             else:
                 entries = entries + (entry,)
             if self.will_duplicate(index):
                 entries = entries + (entry,)
-                self._count_fault("duplicated")
-            if self._metrics is not None:
-                self._metrics.counter(f"channel.sends.{self.name}").inc()
-                self._metrics.histogram(
-                    f"channel.depth.{self.name}"
-                ).observe(len(entries))
             return (entries, seen)
         if action.name == RECEIVE:
             if (
@@ -186,12 +165,7 @@ class ChaosChannel(ChannelAutomaton):
                     f"{self.name}; head is "
                     f"{entries[0] if entries else 'empty'}"
                 )
-            entries = entries[1:]
-            if self._metrics is not None:
-                self._metrics.histogram(
-                    f"channel.depth.{self.name}"
-                ).observe(len(entries))
-            return (entries, seen)
+            return (entries[1:], seen)
         if action.name == TICK:
             if not entries or entries[0][1] == 0:
                 raise ValueError(f"tick not enabled on {self.name}")
@@ -239,14 +213,12 @@ class LossyChannel(ChaosChannel):
         drop_p: float = 0.0,
         drop_sends: Sequence[int] = (),
         seed: int = 0,
-        instrument=None,
     ):
         super().__init__(
             source,
             destination,
             ChannelFaults(drop_p=drop_p, drop_sends=tuple(drop_sends)),
             seed=seed,
-            instrument=instrument,
         )
 
 
@@ -261,7 +233,6 @@ class DuplicatingChannel(ChaosChannel):
         duplicate_p: float = 0.0,
         duplicate_sends: Sequence[int] = (),
         seed: int = 0,
-        instrument=None,
     ):
         super().__init__(
             source,
@@ -271,7 +242,6 @@ class DuplicatingChannel(ChaosChannel):
                 duplicate_sends=tuple(duplicate_sends),
             ),
             seed=seed,
-            instrument=instrument,
         )
 
 
@@ -285,7 +255,6 @@ class ReorderingChannel(ChaosChannel):
         reorder_p: float = 0.0,
         reorder_sends: Sequence[int] = (),
         seed: int = 0,
-        instrument=None,
     ):
         super().__init__(
             source,
@@ -294,7 +263,6 @@ class ReorderingChannel(ChaosChannel):
                 reorder_p=reorder_p, reorder_sends=tuple(reorder_sends)
             ),
             seed=seed,
-            instrument=instrument,
         )
 
 
@@ -310,14 +278,12 @@ class DelayingChannel(ChaosChannel):
         delay_p: float = 1.0,
         max_delay: int = 1,
         seed: int = 0,
-        instrument=None,
     ):
         super().__init__(
             source,
             destination,
             ChannelFaults(delay_p=delay_p, max_delay=max_delay),
             seed=seed,
-            instrument=instrument,
         )
 
 

@@ -33,11 +33,10 @@ every oracle here — that, too, is asserted by the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    FrozenSet,
     Iterable,
     List,
     Mapping,

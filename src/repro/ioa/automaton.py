@@ -25,7 +25,6 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from typing import (
-    Any,
     Callable,
     Dict,
     Hashable,

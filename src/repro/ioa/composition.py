@@ -75,7 +75,6 @@ from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.signature import (
     ActionSet,
-    PredicateActionSet,
     Signature,
     UnionActionSet,
 )
@@ -141,7 +140,6 @@ class Composition(Automaton):
         self,
         components: Iterable[Automaton],
         name: str = "",
-        instrument=None,
     ):
         components = tuple(components)
         if not components:
@@ -186,31 +184,11 @@ class Composition(Automaton):
         # Cache telemetry: process-global hit/miss/evict tallies shared by
         # every composition (repro.obs.prof).  Plain integer adds on the
         # memo probes; deterministic for a fixed run, and the substrate of
-        # the profiler's cache block and the scheduler's per-run
-        # ``cache.*`` metrics export.
+        # the profiler's cache block.
         self._c_dispatch = cache_counter("composition.dispatch")
         self._c_task = cache_counter("composition.task")
         self._c_enabled = cache_counter("composition.enabled")
         self._c_snapshot = cache_counter("composition.snapshot")
-        # Optional observability: attach_metrics() makes every step count
-        # itself; detached (the default) the hot path pays one None test.
-        # ``instrument=`` is the unified convention (repro.obs.instrument);
-        # only the metrics half applies here.
-        self._metrics = None
-        if instrument is not None:
-            from repro.obs.instrument import coerce_instrument
-
-            self._metrics = coerce_instrument(instrument).metrics
-
-    def attach_metrics(self, registry) -> "Composition":
-        """Record ``composition.steps`` / ``composition.participants``
-        into ``registry`` on every :meth:`apply`; returns self."""
-        self._metrics = registry
-        return self
-
-    def detach_metrics(self) -> "Composition":
-        self._metrics = None
-        return self
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -331,11 +309,6 @@ class Composition(Automaton):
             # Lets the next enabled_by_task(next_state) patch the snapshot.
             self._child_state = next_state
             self._child_participants = participants
-        if self._metrics is not None:
-            self._metrics.counter("composition.steps").inc()
-            self._metrics.histogram("composition.participants").observe(
-                len(participants)
-            )
         return next_state
 
     def enabled(self, state: State, action: Action) -> bool:

@@ -15,7 +15,6 @@ The scheduler resolves the two sources of nondeterminism in a run:
 from __future__ import annotations
 
 import random
-import time
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import (
@@ -31,21 +30,11 @@ from typing import (
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.executions import Execution
-from repro.obs.prof import cache_stats_delta, cache_stats_snapshot
 
 #: The chaos channels' internal delay-aging action
 #: (:data:`repro.faults.channels.TICK`); a profiled run books its
 #: applies under the phase of the same name.
 CHAN_TICK = "chan-tick"
-
-
-def _export_cache_metrics(metrics, cache_base) -> None:
-    """Book this run's cache activity into ``metrics`` as
-    ``cache.<memo>.<kind>`` counters (zero-activity memos skipped)."""
-    for name, stats in cache_stats_delta(cache_base).items():
-        for kind in ("hits", "misses", "evictions"):
-            if stats[kind]:
-                metrics.counter(f"cache.{name}.{kind}").inc(stats[kind])
 
 
 def _queued(pending: Dict[int, List[Action]]) -> int:
@@ -324,10 +313,7 @@ class Scheduler:
         Anything :func:`repro.obs.instrument.coerce_instrument` accepts:
         an :class:`repro.obs.trace.Observer` notified of run start/end,
         scheduled steps and fired actions; a
-        :class:`repro.obs.metrics.MetricsRegistry` recording
-        ``scheduler.runs`` / ``scheduler.steps`` counters, a
-        ``scheduler.run_wall_s`` histogram and per-run ``cache.*``
-        deltas; a :class:`repro.obs.prof.StepProfiler`, which books
+        :class:`repro.obs.prof.StepProfiler`, which books
         per-phase costs through timing wrappers around the callables
         :meth:`run` binds once per run (``policy.choose``, ``apply``,
         the injection ``enabled`` check, ``stop_when``, the observer's
@@ -345,7 +331,7 @@ class Scheduler:
         interned-id tables (cached per automaton instance) and run by
         this same step loop, the stock policies swapped for twins that
         read the tables (:func:`repro.compiled.loop.policy_for`) — same
-        executions, same observer/metrics/profiler protocol,
+        executions, same observer/profiler protocol,
         table-replay speed.  ``False`` runs the automaton itself;
         ``None`` (default) defers to the process default
         (:func:`repro.compiled.config.set_compiled_default`), which is
@@ -379,12 +365,6 @@ class Scheduler:
             if bundle.profiler is not None
             else _DEFAULT_PROFILER
         )
-        self._metrics = bundle.metrics
-
-    def attach_metrics(self, registry) -> "Scheduler":
-        """Record per-run scheduler metrics into ``registry``; returns self."""
-        self._metrics = registry
-        return self
 
     def run(
         self,
@@ -408,18 +388,18 @@ class Scheduler:
         instead of asking the automaton again.
 
         A run under a :class:`RoundRobinPolicy` (that exact type), with
-        nothing queued and no metrics registry attached, is *closed*
-        once its (state, cursor) pair repeats (Brent's cycle detection,
-        tested ``is`` before ``==``): the next step is a function of
-        that pair, so the rest of the run is the cycle again.  Its
-        remaining events are appended by list repetition, the observer
-        hears every replayed step, the cursor ends where the full run
-        would leave it, and the execution records its lasso ``(mu,
-        period)`` (:attr:`Execution.lasso`): the fair execution prefix .
-        cycle^omega (Section 2.4).  ``stop_when`` was false on every
-        cycle state, so the run still ends ``"max-steps"``.  A metrics
-        registry blocks closure because the composition and the chaos
-        channels count every apply; observers and profilers do not.
+        nothing queued, is *closed* once its (state, cursor) pair
+        repeats (Brent's cycle detection, tested ``is`` before ``==``):
+        the next step is a function of that pair, so the rest of the run
+        is the cycle again.  Its remaining events are appended by list
+        repetition, the observer hears every replayed step, the cursor
+        ends where the full run would leave it, and the execution
+        records its lasso ``(mu, period)`` (:attr:`Execution.lasso`):
+        the fair execution prefix . cycle^omega (Section 2.4).  ``stop_when`` was false on every
+        cycle state, so the run still ends ``"max-steps"``.  Observers
+        and profilers do not block closure: they watch the loop, and
+        every ``apply`` is a pure function, so the run they see is the
+        run a plain scheduler produces.
         """
         from repro.compiled.config import resolve_compiled
 
@@ -427,7 +407,6 @@ class Scheduler:
         policy = self.policy
         policy.reset()
         observer = self.observer
-        metrics = self._metrics
         prof = self.profiler
         if resolve_compiled(self.compiled):
             # The compiled core is driven like any automaton; the stock
@@ -456,8 +435,6 @@ class Scheduler:
                 observer = prof.observer(observer)
         close = _close if prof is None else prof.timed("replay", _close)
         view = _SnapshotReuse(automaton, enabled_by_task)
-        wall_start = time.perf_counter() if metrics is not None else 0.0
-        cache_base = cache_stats_snapshot() if metrics is not None else {}
         pending: Dict[int, List[Action]] = {}
         for injection in injections:
             pending.setdefault(injection.step, []).append(injection.action)
@@ -477,7 +454,7 @@ class Scheduler:
         # ``quiet`` is the step where the queue emptied.  ``reset`` put
         # the cursor at 0.
         rr = self.policy
-        watch = type(rr) is RoundRobinPolicy and metrics is None
+        watch = type(rr) is RoundRobinPolicy
         cursors = [0]
         mark_state, mark_cursor = state, -1 if pending else 0
         mark = quiet = period = 0
@@ -564,13 +541,6 @@ class Scheduler:
             observer.on_run_end(step, reason)
         if prof is not None:
             prof.on_run_end(step, queued - _queued(pending), replayed)
-        if metrics is not None:
-            metrics.counter("scheduler.runs").inc()
-            metrics.counter("scheduler.steps").inc(step)
-            metrics.histogram("scheduler.run_wall_s").observe(
-                time.perf_counter() - wall_start
-            )
-            _export_cache_metrics(metrics, cache_base)
         return Execution(states, actions, lasso=lasso)
 
     def run_to_quiescence(

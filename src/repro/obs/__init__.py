@@ -1,21 +1,17 @@
-"""Observability for the simulation harness: tracing, metrics, reports.
+"""Observability for the simulation harness: tracing, profiling, reports.
 
 The paper's evaluation is a set of theorems checked over simulated
 executions; this subpackage is the instrument panel for those
 simulations.  It is deliberately zero-dependency and pay-for-what-you-use:
-nothing here runs unless an observer or a metrics registry is attached.
+nothing here runs unless an observer or a step profiler is attached.
 
 ``repro.obs.instrument``
-    The unified ``instrument=`` / ``attach_metrics()`` convention: the
-    :class:`Instrumentation` bundle every instrumentable class accepts.
+    The unified ``instrument=`` convention: the :class:`Instrumentation`
+    bundle every instrumentable surface accepts.
 ``repro.obs.trace``
     Structured event tracing: an :class:`Observer` protocol the scheduler
     notifies, and a :class:`TraceRecorder` that turns the notifications
     into typed, timestamped events with span timers and JSONL export.
-``repro.obs.metrics``
-    A registry of counters, gauges and histograms, plus a
-    :class:`MetricsObserver` that derives scheduler metrics (wall time
-    per step, per-task turn counts) from the same notifications.
 ``repro.obs.report``
     Per-run reports: a serializable :class:`RunReport` subsuming
     :class:`~repro.analysis.stats.RunStatistics`, and the
@@ -42,11 +38,6 @@ nothing here runs unless an observer or a metrics registry is attached.
 _EXPORTS = {
     "Instrumentation": "repro.obs.instrument",
     "coerce_instrument": "repro.obs.instrument",
-    "Counter": "repro.obs.metrics",
-    "Gauge": "repro.obs.metrics",
-    "Histogram": "repro.obs.metrics",
-    "MetricsObserver": "repro.obs.metrics",
-    "MetricsRegistry": "repro.obs.metrics",
     "RunReport": "repro.obs.report",
     "build_run_report": "repro.obs.report",
     "BENCH_SCHEMA": "repro.obs.schema",
@@ -90,11 +81,6 @@ def __dir__():
 __all__ = [
     "Instrumentation",
     "coerce_instrument",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsObserver",
-    "MetricsRegistry",
     "RunReport",
     "build_run_report",
     "BENCH_SCHEMA",

@@ -1,23 +1,17 @@
-"""The one instrumentation convention shared by every instrumentable class.
+"""The one instrumentation convention shared by every instrumentable surface.
 
-Before this module each component had its own spelling —
-``Scheduler(observer=...)``, ``TaggedTreeGraph(metrics=...)``,
-``run_consensus_experiment(observer=..., metrics=...)`` — and wiring a
-trace recorder *and* a metrics registry through one experiment meant
-knowing all of them.  Now every instrumentable surface (``Scheduler``,
-``Composition``, ``ChannelAutomaton``, ``TaggedTreeGraph``, the
-``repro.runner`` engine, and the experiment helpers built on them)
-accepts a single ``instrument=`` argument and exposes
-``attach_metrics()``:
+Every instrumentable surface (``Scheduler``, ``System.run``,
+``SystemBuilder.with_instrumentation``, the ``repro.runner`` engine, and
+the experiment helpers built on them) accepts a single ``instrument=``
+argument.  It takes *anything that describes instrumentation*: an
+:class:`Instrumentation` bundle, a bare
+:class:`~repro.obs.trace.Observer`, a bare
+:class:`~repro.obs.prof.StepProfiler`, a tuple mixing them, or ``None``
+(the default — fully uninstrumented, zero cost).
 
-* ``instrument=`` takes *anything that describes instrumentation*: an
-  :class:`Instrumentation` bundle, a bare
-  :class:`~repro.obs.trace.Observer`, a bare
-  :class:`~repro.obs.metrics.MetricsRegistry`, a bare
-  :class:`~repro.obs.prof.StepProfiler`, a tuple mixing them, or
-  ``None`` (the default — fully uninstrumented, zero cost);
-* ``attach_metrics(registry)`` attaches just the metrics half after
-  construction, as before.
+Both halves watch a run from the step loop; neither reaches into an
+automaton, so every ``apply`` stays a pure function of its state and
+action, and an instrumented run does the same steps as a plain one.
 
 The pre-1.2 per-class kwarg spellings (``Scheduler(observer=...)``,
 ``with_observer()``/``with_metrics()``, ``metrics=`` on the tree tools)
@@ -30,41 +24,34 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Optional
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import StepProfiler
 from repro.obs.trace import Observer
 
 
 @dataclass
 class Instrumentation:
-    """An observer, a metrics registry and/or a step profiler, bundled.
+    """An observer and/or a step profiler, bundled.
 
-    Any third may be ``None``; a falsy bundle means "uninstrumented".
+    Either half may be ``None``; a falsy bundle means "uninstrumented".
 
     Examples
     --------
     >>> from repro.obs.trace import TraceRecorder
     >>> inst = Instrumentation(observer=TraceRecorder())
-    >>> bool(inst), inst.metrics is None, inst.profiler is None
-    (True, True, True)
+    >>> bool(inst), inst.profiler is None
+    (True, True)
     """
 
     observer: Optional[Observer] = None
-    metrics: Optional[MetricsRegistry] = None
     profiler: Optional[StepProfiler] = None
 
     def __bool__(self) -> bool:
-        return (
-            self.observer is not None
-            or self.metrics is not None
-            or self.profiler is not None
-        )
+        return self.observer is not None or self.profiler is not None
 
     def merged_with(self, other: "Instrumentation") -> "Instrumentation":
-        """This bundle, with ``other`` filling any empty third."""
+        """This bundle, with ``other`` filling any empty half."""
         return Instrumentation(
             observer=self.observer if self.observer is not None else other.observer,
-            metrics=self.metrics if self.metrics is not None else other.metrics,
             profiler=(
                 self.profiler if self.profiler is not None else other.profiler
             ),
@@ -76,7 +63,6 @@ def coerce_instrument(value: Any) -> Instrumentation:
 
     Accepts ``None``, an :class:`Instrumentation`, an
     :class:`~repro.obs.trace.Observer`, a
-    :class:`~repro.obs.metrics.MetricsRegistry`, a
     :class:`~repro.obs.prof.StepProfiler`, or a tuple/list mixing them
     (later entries fill holes left by earlier ones).
     """
@@ -84,8 +70,6 @@ def coerce_instrument(value: Any) -> Instrumentation:
         return Instrumentation()
     if isinstance(value, Instrumentation):
         return value
-    if isinstance(value, MetricsRegistry):
-        return Instrumentation(metrics=value)
     if isinstance(value, Observer):
         return Instrumentation(observer=value)
     if isinstance(value, StepProfiler):
@@ -97,6 +81,6 @@ def coerce_instrument(value: Any) -> Instrumentation:
         return bundle
     raise TypeError(
         "instrument= accepts None, Instrumentation, an Observer, a "
-        "MetricsRegistry, a StepProfiler, or a tuple of those; got "
+        "StepProfiler, or a tuple of those; got "
         f"{type(value).__name__}"
     )

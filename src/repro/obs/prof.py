@@ -25,7 +25,8 @@ against.  Two halves:
     ``apply``         the transition function on the chosen action
     ``chan-tick``     applies of the chaos channels' internal ``chan-tick``
                       action (delay aging), split out of ``apply``
-    ``observe``       observer notifications (tracing, metrics, oracles)
+    ``observe``       observer notifications (tracing, crash-rule
+                      controllers)
     ``injection``     the enabledness check of adversary-injected free
                       actions
     ``compile``       compiled engine: table resolution, booked before the
@@ -57,10 +58,7 @@ Cache telemetry (:func:`cache_counter`)
     increments ``tree.task-edges`` / ``tree.vertices``.  Counts are pure
     functions of the executed steps, so they are themselves deterministic
     observables.  :func:`cache_stats_snapshot` /
-    :func:`cache_stats_delta` turn them into profile fields, and
-    the scheduler exports per-run deltas into an attached
-    :class:`~repro.obs.metrics.MetricsRegistry` as ``cache.<name>.<kind>``
-    counters.
+    :func:`cache_stats_delta` turn them into profile fields.
 
 The profile summary (:meth:`StepProfiler.summary`) is a JSON-ready
 document (schema ``repro.profile/1``) stamped via an injectable

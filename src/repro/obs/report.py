@@ -2,11 +2,9 @@
 
 :class:`RunReport` subsumes :class:`~repro.analysis.stats.RunStatistics`
 (the event tallies) and extends it with the observability layer's view:
-event-kind counts, the per-location message matrix, span timings and a
-metrics snapshot.  Build one from any combination of an
-:class:`~repro.ioa.executions.Execution`, a
-:class:`~repro.obs.trace.TraceRecorder` and a
-:class:`~repro.obs.metrics.MetricsRegistry`.
+event-kind counts, the per-location message matrix and span timings.
+Build one from an :class:`~repro.ioa.executions.Execution`, a
+:class:`~repro.obs.trace.TraceRecorder`, or both.
 
 Also the CLI over saved traces::
 
@@ -30,7 +28,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.stats import RunStatistics, collect_run_statistics
 from repro.ioa.executions import Execution
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import TraceRecorder, load_jsonl
 
 
@@ -49,7 +46,6 @@ class RunReport:
     message_matrix: Dict[str, int] = field(default_factory=dict)
     per_location: Dict[str, int] = field(default_factory=dict)
     spans: List[Dict[str, float]] = field(default_factory=list)
-    metrics: Optional[Dict[str, Any]] = None
     wall_s: Optional[float] = None
 
     # -- Export ------------------------------------------------------------
@@ -62,8 +58,6 @@ class RunReport:
         doc["message_matrix"] = self.message_matrix
         doc["per_location"] = self.per_location
         doc["spans"] = self.spans
-        if self.metrics is not None:
-            doc["metrics"] = self.metrics
         if self.wall_s is not None:
             doc["wall_s"] = self.wall_s
         return doc
@@ -111,20 +105,12 @@ class RunReport:
             lines.append("-- message matrix (src->dst: sends) --")
             for edge, count in sorted(self.message_matrix.items()):
                 lines.append(f"  {edge:<12} {count}")
-        if self.metrics:
-            lines.append("-- metrics --")
-            for name, snap in sorted(self.metrics.items()):
-                summary = ", ".join(
-                    f"{k}={v}" for k, v in snap.items() if k != "type"
-                )
-                lines.append(f"  {name}: {summary}")
         return "\n".join(lines)
 
 
 def build_run_report(
     execution: Optional[Execution] = None,
     recorder: Optional[TraceRecorder] = None,
-    metrics: Optional[MetricsRegistry] = None,
     fd_output_name: Optional[str] = None,
     meta: Optional[Dict[str, Any]] = None,
     wall_s: Optional[float] = None,
@@ -132,8 +118,8 @@ def build_run_report(
     """Assemble a :class:`RunReport` from whatever was instrumented.
 
     The execution yields the tallies and message matrix; the recorder
-    yields event-kind counts, per-location counts and span timings; the
-    registry yields the metrics snapshot.  Any subset works.
+    yields event-kind counts, per-location counts and span timings.
+    Either works alone.
     """
     report = RunReport(meta=dict(meta or {}), wall_s=wall_s)
     if execution is not None:
@@ -162,8 +148,6 @@ def build_run_report(
             report.message_matrix = _matrix_from_events(
                 e.to_dict() for e in recorder.events
             )
-    if metrics is not None:
-        report.metrics = metrics.to_dict()
     return report
 
 

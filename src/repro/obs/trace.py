@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, IO, Iterator, List, Optional, Union
 
 from repro.ioa.actions import Action

@@ -13,7 +13,7 @@ is crash independent, and has bounded length (at most n decide outputs).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Set, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State

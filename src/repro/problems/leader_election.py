@@ -13,7 +13,7 @@ AFD, not of the one-shot problem.)
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Set
+from typing import Dict, Sequence, Set
 
 from repro.ioa.actions import Action
 from repro.core.afd import CheckResult

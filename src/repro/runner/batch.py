@@ -17,13 +17,12 @@ order-preservation, arbitrary picklable ``fn``.
 
 from __future__ import annotations
 
-import json
 import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
 from multiprocessing.reduction import ForkingPickler
-from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 
 from repro.runner.spec import ExperimentResult, ExperimentSpec, run_spec
 
@@ -58,47 +57,6 @@ def _mp_context(name: Optional[str] = None):
 _BREAK_EVEN_S = 0.1
 
 
-def _fan_out(
-    fn: Callable[[Any], Any],
-    items: List[Any],
-    jobs: int,
-    mp_context: Optional[str],
-) -> Iterator[Any]:
-    """Yield ``fn(item)`` for every item, in item order.
-
-    Items run in the caller while the mean wall time of the items run so
-    far, times the items left, stays at or under :data:`_BREAK_EVEN_S`
-    (before the first item the estimate is 0).  Once it is over, the
-    items left, two or more, go to a pool of ``min(jobs, left)``
-    workers with ``chunksize=1``, whose ordered results follow.  So a
-    cheap batch never forks, and a costly one forks after its first item
-    plus at most the break-even of serial work.
-
-    With ``jobs > 1`` and two or more items, ``fn`` is pickled before
-    anything runs, and each item before it runs in the caller: a batch
-    the pool could not carry fails the same way on either path.
-    """
-    if jobs <= 1 or len(items) < 2:
-        for item in items:
-            yield fn(item)
-        return
-    ForkingPickler.dumps(fn)
-    spent = 0.0
-    for done, item in enumerate(items):
-        left = len(items) - done
-        estimate = spent / done * left if done else 0.0
-        if left >= 2 and estimate > _BREAK_EVEN_S:
-            ctx = _mp_context(mp_context)
-            with ctx.Pool(processes=min(jobs, left)) as pool:
-                yield from pool.imap(fn, items[done:], chunksize=1)
-            return
-        ForkingPickler.dumps(item)
-        start = time.perf_counter()
-        result = fn(item)
-        spent += time.perf_counter() - start
-        yield result
-
-
 def parallel_map(
     fn: Callable[[Any], Any],
     items: Sequence[Any],
@@ -109,17 +67,44 @@ def parallel_map(
 
     Order-preserving and deterministic: the result list matches the
     serial comprehension element-for-element regardless of where each
-    item ran.  ``jobs`` is an upper bound: items run in the caller until
-    the batch's measured cost outgrows a fork pool's
-    (:data:`_BREAK_EVEN_S`, 0.1 s of serial work left; see its comment
-    for the derivation), so a cheap batch never forks and a costly one
-    forks after one item.  ``fn`` and every item must be picklable
-    (module-level functions; no closures) when ``jobs > 1``, whichever
-    way the batch runs.  ``jobs <= 1`` or fewer than two items
+    item ran.  ``jobs`` is an upper bound: items run in the caller while
+    the mean wall time of the items run so far, times the items left,
+    stays at or under :data:`_BREAK_EVEN_S` (before the first item the
+    estimate is 0; see its comment for the derivation).  Once it is
+    over, the items left, two or more, go to a pool of
+    ``min(jobs, left)`` workers with ``chunksize=1``, whose ordered
+    results follow.  So a cheap batch never forks, and a costly one
+    forks after its first item plus at most the break-even of serial
+    work.
+
+    With ``jobs > 1`` and two or more items, ``fn`` is pickled before
+    anything runs, and each item before it runs in the caller: ``fn``
+    and every item must be picklable (module-level functions; no
+    closures), and a batch the pool could not carry fails the same way
+    on either path.  ``jobs <= 1`` or fewer than two items
     short-circuits to the serial loop — no pool, no pickling
     requirement.
     """
-    return list(_fan_out(fn, list(items), max(1, int(jobs)), mp_context))
+    items = list(items)
+    jobs = max(1, int(jobs))
+    if jobs <= 1 or len(items) < 2:
+        return [fn(item) for item in items]
+    ForkingPickler.dumps(fn)
+    results: List[Any] = []
+    spent = 0.0
+    for done, item in enumerate(items):
+        left = len(items) - done
+        estimate = spent / done * left if done else 0.0
+        if left >= 2 and estimate > _BREAK_EVEN_S:
+            ctx = _mp_context(mp_context)
+            with ctx.Pool(processes=min(jobs, left)) as pool:
+                results.extend(pool.imap(fn, items[done:], chunksize=1))
+            return results
+        ForkingPickler.dumps(item)
+        start = time.perf_counter()
+        results.append(fn(item))
+        spent += time.perf_counter() - start
+    return results
 
 
 def _execute_spec(spec: ExperimentSpec) -> ExperimentResult:
@@ -177,10 +162,6 @@ class BatchResult:
         """One standard series row per run (label, seed, verdict, cost)."""
         return [r.row() for r in self.results]
 
-    def reports(self) -> List[Dict[str, Any]]:
-        """The serialized RunReports of the instrumented runs."""
-        return [r.report for r in self.results if r.report is not None]
-
     def to_bench_artifact(
         self,
         bench_id: str,
@@ -202,62 +183,12 @@ class BatchResult:
         )
 
 
-class _ProgressSink:
-    """Where sweep-progress events go: a JSONL file or a callable.
-
-    Events are flat JSON objects.  Per completed run::
-
-        {"event": "run", "completed": 3, "total": 40, "label": "...",
-         "seed": 7, "ok": true, "elapsed_s": 0.81, "runs_per_s": 3.7}
-
-    and one terminal summary::
-
-        {"event": "batch-end", "runs": 40, "errors": 0,
-         "elapsed_s": 9.6, "runs_per_s": 4.2, "jobs": 4}
-
-    ``elapsed_s``/``runs_per_s`` are wall-clock observations — telemetry
-    about the sweep, never part of any result or series.
-
-    A file sink holds **one** buffered handle for its whole lifetime
-    (opened truncating — one file per sweep, not an unbounded accretion)
-    and flushes per event so the file is tailable mid-sweep; close it
-    explicitly (:meth:`close`, or use the sink as a context manager).
-    Reopening the file per event would cost O(runs) file opens on large
-    sweeps for byte-identical output.
-    """
-
-    def __init__(self, target: Any):
-        self._fn: Optional[Callable[[Dict[str, Any]], Any]] = None
-        self._fp: Optional[Any] = None
-        if callable(target):
-            self._fn = target
-        else:
-            path = str(target)
-            parent = os.path.dirname(os.path.abspath(path))
-            os.makedirs(parent, exist_ok=True)
-            self._fp = open(path, "w", encoding="utf-8")
-
-    def emit(self, event: Dict[str, Any]) -> None:
-        if self._fn is not None:
-            self._fn(event)
-            return
-        assert self._fp is not None
-        self._fp.write(json.dumps(event, sort_keys=True) + "\n")
-        self._fp.flush()
-
-    def close(self) -> None:
-        if self._fp is not None:
-            self._fp.close()
-
-    def __enter__(self) -> "_ProgressSink":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-
 class BatchRunner:
     """Run experiment specs serially (``jobs=1``) or across processes.
+
+    Per-run instrumentation is the spec's own ``instrument`` and
+    ``profile`` flags: the recorder and profiler are built inside the
+    run, since they cannot be shared across processes.
 
     Parameters
     ----------
@@ -268,19 +199,6 @@ class BatchRunner:
         caller until its measured cost outgrows a fork pool's
         (:data:`_BREAK_EVEN_S`), so a cheap batch never forks; results
         are the same either way.
-    instrument:
-        The unified instrumentation hook; its metrics half receives
-        batch-level counters (``batch.runs``, ``batch.failures``) and a
-        ``batch.wall_s`` histogram.  Per-run instrumentation is the
-        spec's own ``instrument`` flag — per-run recorders cannot be
-        shared across processes.
-    progress:
-        Sweep-progress telemetry: ``None`` (default, zero overhead), a
-        file path (one JSON event per line: runs completed, errors,
-        throughput — see :class:`_ProgressSink`), or a callable invoked
-        with each event dict.  Progress changes *reporting order only*:
-        results still come back in spec order and are byte-identical to
-        an untracked batch.
     cache:
         A content-addressed result cache: a
         :class:`~repro.cache.store.ResultStore` or its directory path.
@@ -308,18 +226,12 @@ class BatchRunner:
     def __init__(
         self,
         jobs: Optional[int] = 1,
-        instrument=None,
-        progress=None,
         cache=None,
         mp_context: Optional[str] = None,
     ):
-        from repro.obs.instrument import coerce_instrument
-
         self.jobs = default_jobs() if not jobs else max(1, int(jobs))
         self.mp_context = mp_context
-        self.progress = progress
         self.cache = self._coerce_cache(cache)
-        self._metrics = coerce_instrument(instrument).metrics
 
     @staticmethod
     def _coerce_cache(cache):
@@ -330,11 +242,6 @@ class BatchRunner:
         if isinstance(cache, ResultStore):
             return cache
         return ResultStore(str(cache))
-
-    def attach_metrics(self, registry) -> "BatchRunner":
-        """Record batch-level metrics into ``registry``; returns self."""
-        self._metrics = registry
-        return self
 
     def run(
         self,
@@ -366,19 +273,12 @@ class BatchRunner:
             if k not in hit_results
         ]
         miss_specs = [spec for _, spec in miss_indexed]
-        if self.progress is None:
-            executed = parallel_map(
-                _execute_spec,
-                miss_specs,
-                jobs=self.jobs,
-                mp_context=self.mp_context,
-            )
-        else:
-            executed = self._run_tracked(
-                miss_specs,
-                start,
-                cache_hits=len(hit_results) if self.cache is not None else None,
-            )
+        executed = parallel_map(
+            _execute_spec,
+            miss_specs,
+            jobs=self.jobs,
+            mp_context=self.mp_context,
+        )
         if self.cache is not None:
             for (k, spec), result in zip(miss_indexed, executed):
                 if (
@@ -399,88 +299,9 @@ class BatchRunner:
             cache_hits=len(hit_results),
             cache_misses=len(miss_specs) if self.cache is not None else 0,
         )
-        if self._metrics is not None:
-            self._metrics.counter("batch.runs").inc(len(batch.results))
-            self._metrics.counter("batch.failures").inc(len(batch.failures))
-            self._metrics.histogram("batch.wall_s").observe(batch.wall_s)
         if raise_on_error:
             batch.raise_on_error()
         return batch
-
-    def _run_tracked(
-        self,
-        specs: List[ExperimentSpec],
-        start: float,
-        cache_hits: Optional[int] = None,
-    ) -> List[ExperimentResult]:
-        """Execute with per-run progress events (results in spec order).
-
-        Runs go through the same fan-out as :func:`parallel_map`, one
-        result at a time: each arrives as it (and all its predecessors)
-        completes, so the sink sees the sweep move instead of one burst
-        at the end.  ``cache_hits`` (set iff a cache is attached) is
-        announced up front as a ``cache`` event; the per-run
-        ``completed``/``total`` numbers then count *executed* runs only.
-        """
-        with _ProgressSink(self.progress) as sink:
-            if cache_hits is not None:
-                sink.emit(
-                    {
-                        "event": "cache",
-                        "hits": cache_hits,
-                        "misses": len(specs),
-                        "total": cache_hits + len(specs),
-                    }
-                )
-            return self._run_tracked_into(sink, specs, start)
-
-    def _run_tracked_into(
-        self,
-        sink: "_ProgressSink",
-        specs: List[ExperimentSpec],
-        start: float,
-    ) -> List[ExperimentResult]:
-        results: List[ExperimentResult] = []
-        errors = 0
-
-        def track(result: ExperimentResult) -> None:
-            nonlocal errors
-            results.append(result)
-            if result.error is not None:
-                errors += 1
-            elapsed = time.perf_counter() - start
-            sink.emit(
-                {
-                    "event": "run",
-                    "completed": len(results),
-                    "total": len(specs),
-                    "label": result.label,
-                    "seed": result.seed,
-                    "ok": result.error is None,
-                    "errors": errors,
-                    "elapsed_s": round(elapsed, 6),
-                    "runs_per_s": (
-                        round(len(results) / elapsed, 3) if elapsed > 0 else None
-                    ),
-                }
-            )
-
-        for result in _fan_out(_execute_spec, specs, self.jobs, self.mp_context):
-            track(result)
-        elapsed = time.perf_counter() - start
-        sink.emit(
-            {
-                "event": "batch-end",
-                "runs": len(results),
-                "errors": errors,
-                "elapsed_s": round(elapsed, 6),
-                "runs_per_s": (
-                    round(len(results) / elapsed, 3) if elapsed > 0 else None
-                ),
-                "jobs": self.jobs,
-            }
-        )
-        return results
 
     def map(
         self, fn: Callable[[Any], Any], items: Sequence[Any]

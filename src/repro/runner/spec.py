@@ -191,8 +191,10 @@ class ExperimentSpec:
         Step budget for the run.
     instrument:
         ``False`` (default): uninstrumented, zero overhead.  ``True``:
-        the run records a canonical trace, a metrics registry, and a
-        :class:`~repro.obs.report.RunReport` into the result.
+        a :class:`~repro.obs.trace.TraceRecorder` watches the run, and
+        its canonical trace and a :class:`~repro.obs.report.RunReport`
+        land in the result.  The execution is the uninstrumented one,
+        lasso closure included.
     profile:
         ``True`` attaches a :class:`~repro.obs.prof.StepProfiler` to the
         run and stores its summary (schema ``repro.profile/1``: phase
@@ -524,12 +526,9 @@ def run_spec(
     """
     start = time.perf_counter()
     recorder = None
-    registry = None
     profiler = None
     if instrument is None:
         if spec.instrument:
-            from repro.obs.instrument import Instrumentation
-            from repro.obs.metrics import MetricsRegistry
             from repro.obs.trace import TraceRecorder
 
             afd_probe = spec.resolve_afd()
@@ -537,16 +536,14 @@ def run_spec(
                 fd_output_name=afd_probe.output_name,
                 record_steps=spec.record_steps,
             )
-            registry = MetricsRegistry()
-            instrument = Instrumentation(observer=recorder, metrics=registry)
         if spec.profile:
-            from repro.obs.instrument import Instrumentation
             from repro.obs.prof import StepProfiler
 
             profiler = StepProfiler()
-            instrument = Instrumentation(
-                observer=recorder, metrics=registry, profiler=profiler
-            )
+        if recorder is not None or profiler is not None:
+            from repro.obs.instrument import Instrumentation
+
+            instrument = Instrumentation(observer=recorder, profiler=profiler)
 
     if spec.problem == "detector-trace":
         result = _run_detector_trace(spec, instrument)
@@ -570,7 +567,6 @@ def run_spec(
         result.trace = recorder.canonical_jsonl_lines()
         result.report = build_run_report(
             recorder=recorder,
-            metrics=registry,
             meta=spec.meta(),
             wall_s=result.wall_s,
         ).to_dict()

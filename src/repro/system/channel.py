@@ -35,20 +35,12 @@ class ChannelAutomaton(Automaton):
     State: a tuple of messages in transit, head first.
     """
 
-    def __init__(self, source: int, destination: int, instrument=None):
+    def __init__(self, source: int, destination: int):
         if source == destination:
             raise ValueError("channels connect distinct locations")
         super().__init__(f"chan[{source}->{destination}]")
         self.source = source
         self.destination = destination
-        # Optional observability (see repro.obs.metrics): when attached,
-        # every apply() records the post-step queue depth.  ``instrument=``
-        # is the unified convention; only its metrics half applies here.
-        self._metrics = None
-        if instrument is not None:
-            from repro.obs.instrument import coerce_instrument
-
-            self._metrics = coerce_instrument(instrument).metrics
         self._signature = Signature(
             inputs=PredicateActionSet(
                 lambda a: (
@@ -88,26 +80,9 @@ class ChannelAutomaton(Automaton):
         """
         return state
 
-    def attach_metrics(self, registry) -> "ChannelAutomaton":
-        """Record ``channel.depth.<name>`` (post-step queue depth) and
-        ``channel.sends.<name>`` into ``registry``; returns self."""
-        self._metrics = registry
-        return self
-
-    def detach_metrics(self) -> "ChannelAutomaton":
-        self._metrics = None
-        return self
-
     def apply(self, state: State, action: Action) -> State:
         if action.name == SEND:
-            message = action.payload[0]
-            next_state = state + (message,)
-            if self._metrics is not None:
-                self._metrics.counter(f"channel.sends.{self.name}").inc()
-                self._metrics.histogram(
-                    f"channel.depth.{self.name}"
-                ).observe(len(next_state))
-            return next_state
+            return state + (action.payload[0],)
         if action.name == RECEIVE:
             if not state or state[0] != action.payload[0]:
                 raise ValueError(
@@ -116,12 +91,7 @@ class ChannelAutomaton(Automaton):
                     if state
                     else "receive on empty channel"
                 )
-            next_state = state[1:]
-            if self._metrics is not None:
-                self._metrics.histogram(
-                    f"channel.depth.{self.name}"
-                ).observe(len(next_state))
-            return next_state
+            return state[1:]
         raise ValueError(f"channel {self.name} cannot perform {action}")
 
     def enabled_locally(self, state: State) -> Iterable[Action]:

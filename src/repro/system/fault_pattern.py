@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Mapping, Sequence, Tuple
+from typing import FrozenSet, Iterable, List, Mapping, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.scheduler import Injection

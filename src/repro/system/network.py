@@ -8,9 +8,8 @@ project states and traces per component.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
-from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.composition import Composition
 from repro.ioa.executions import Execution, Trace
@@ -46,7 +45,6 @@ class SystemBuilder:
         self.include_channels = True
         self.include_crash = True
         self.observer = None
-        self.metrics = None
         self.profiler = None
         self.fault_plan = None
 
@@ -109,15 +107,12 @@ class SystemBuilder:
         """Attach instrumentation (the unified ``instrument=`` convention,
         :mod:`repro.obs.instrument`): the observer half is notified by
         every run of the built system unless overridden per-run; the
-        metrics half is recorded into by the composition and channels;
-        the profiler half books the step phases of every run."""
+        profiler half books the step phases of every run."""
         from repro.obs.instrument import coerce_instrument
 
         bundle = coerce_instrument(instrument)
         if bundle.observer is not None:
             self.observer = bundle.observer
-        if bundle.metrics is not None:
-            self.metrics = bundle.metrics
         if bundle.profiler is not None:
             self.profiler = bundle.profiler
         return self
@@ -147,13 +142,8 @@ class SystemBuilder:
         if self.environment is not None:
             components.append(self.environment)
         components.extend(self.extra)
-        composition = Composition(components, name="system")
-        if self.metrics is not None:
-            composition.attach_metrics(self.metrics)
-            for channel in channels:
-                channel.attach_metrics(self.metrics)
         return System(
-            composition=composition,
+            composition=Composition(components, name="system"),
             locations=self.locations,
             algorithm=self.algorithm,
             channels=channels,
@@ -161,7 +151,6 @@ class SystemBuilder:
             failure_detector=self.failure_detector,
             environment=self.environment,
             observer=self.observer,
-            metrics=self.metrics,
             profiler=self.profiler,
             fault_plan=plan,
         )
@@ -180,7 +169,6 @@ class System:
         failure_detector: Optional[Automaton],
         environment: Optional[Automaton],
         observer=None,
-        metrics=None,
         profiler=None,
         fault_plan=None,
     ):
@@ -192,7 +180,6 @@ class System:
         self.failure_detector = failure_detector
         self.environment = environment
         self.observer = observer
-        self.metrics = metrics
         self.profiler = profiler
         self.fault_plan = fault_plan
         #: The crash-rule controller of the most recent run (None when
@@ -208,37 +195,32 @@ class System:
         policy: Optional[SchedulerPolicy] = None,
         stop_when: Optional[Callable[[State], bool]] = None,
         extra_injections: Iterable[Injection] = (),
-        observer=None,
         instrument=None,
         compiled: Optional[bool] = None,
     ) -> Execution:
         """Run the system under a fault pattern and scheduling policy.
 
-        ``observer`` overrides the builder-attached observer for this run
-        only; pass neither and the run is entirely uninstrumented
-        (unless the attached fault plan has crash rules, whose
-        controller rides the observer slot).  ``instrument`` attaches
-        run-scoped instrumentation on top: its halves override the
-        builder-attached observer/metrics/profiler for this run only —
-        the seam the compiled engine uses, since a compiled system is
-        built once (uninstrumented) and instrumented per run.
+        ``instrument`` attaches run-scoped instrumentation: its halves
+        override the builder-attached observer/profiler for this run
+        only — the seam the compiled engine uses, since a compiled
+        system is built once (uninstrumented) and instrumented per run.
+        With neither, the run is entirely uninstrumented (unless the
+        attached fault plan has crash rules, whose controller rides the
+        observer slot).
         ``compiled`` routes the run through the compiled core
         (:mod:`repro.compiled`); ``None`` defers to the process default.
         """
         injections: List[Injection] = list(extra_injections)
         if fault_pattern is not None:
             injections.extend(fault_pattern.injections())
-        run_metrics = self.metrics
         run_profiler = self.profiler
-        run_observer = self.observer if observer is None else observer
+        run_observer = self.observer
         if instrument is not None:
             from repro.obs.instrument import coerce_instrument
 
             bundle = coerce_instrument(instrument)
-            if bundle.observer is not None and observer is None:
+            if bundle.observer is not None:
                 run_observer = bundle.observer
-            if bundle.metrics is not None:
-                run_metrics = bundle.metrics
             if bundle.profiler is not None:
                 run_profiler = bundle.profiler
         self.crash_controller = None
@@ -261,7 +243,7 @@ class System:
             )
         scheduler = Scheduler(
             policy,
-            instrument=(run_observer, run_metrics, run_profiler),
+            instrument=(run_observer, run_profiler),
             compiled=compiled,
         )
         return scheduler.run(

@@ -18,7 +18,7 @@ inert as the model requires.
 from __future__ import annotations
 
 from abc import abstractmethod
-from typing import Dict, Hashable, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, Mapping, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State

@@ -15,7 +15,7 @@ edges.  :func:`fair_branch_execution` builds that prefix.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 from repro.ioa.executions import Execution
 from repro.tree.tagged_tree import TaggedTreeGraph, TreeVertex

@@ -22,7 +22,7 @@ E14 experiments can assert them wholesale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set
 
 from repro.ioa.actions import Action
 from repro.core.validity import live_locations
@@ -76,7 +76,6 @@ def find_hooks(
     graph: TaggedTreeGraph,
     valence: ValenceAnalysis,
     max_hooks: Optional[int] = None,
-    instrument=None,
 ) -> List[Hook]:
     """Enumerate hooks in the quotient graph.
 
@@ -85,22 +84,8 @@ def find_hooks(
     (bottom) edges cannot form hooks (the child's valence equals the
     parent's, so it cannot be univalent when N is bivalent) but are still
     scanned for completeness — Lemma 56 is *verified*, not assumed.
-
-    ``instrument`` (anything ``coerce_instrument`` accepts; its metrics
-    half) records the ``hooks.vertices_scanned`` and ``hooks.found``
-    counters.
     """
-    from repro.obs.instrument import coerce_instrument
-
-    metrics = coerce_instrument(instrument).metrics
     hooks: List[Hook] = []
-    scanned = 0
-
-    def _done(result: List[Hook]) -> List[Hook]:
-        if metrics is not None:
-            metrics.counter("hooks.vertices_scanned").inc(scanned)
-            metrics.counter("hooks.found").inc(len(result))
-        return result
 
     # The scan probes raw value sets (``values_of``) and only wraps them
     # in :class:`Valence` for the hooks it actually emits — the
@@ -110,7 +95,6 @@ def find_hooks(
     values_of = valence.values_of
     labels = graph.labels
     for node in valence.bivalent_vertices():
-        scanned += 1
         node_edges = edges[node]
         for l_label in labels:
             l_action, l_child = node_edges[l_label]
@@ -137,8 +121,8 @@ def find_hooks(
                         )
                     )
                     if max_hooks is not None and len(hooks) >= max_hooks:
-                        return _done(hooks)
-    return _done(hooks)
+                        return hooks
+    return hooks
 
 
 @dataclass
@@ -169,23 +153,13 @@ class HookSearch:
         graph: TaggedTreeGraph,
         valence: ValenceAnalysis,
         locations: Sequence[int],
-        instrument=None,
     ):
-        from repro.obs.instrument import coerce_instrument
-
         self.graph = graph
         self.valence = valence
         self.locations = tuple(locations)
-        self.metrics = coerce_instrument(instrument).metrics
-
-    def attach_metrics(self, registry) -> "HookSearch":
-        self.metrics = registry
-        return self
 
     def report(self, max_hooks: Optional[int] = None) -> HookReport:
-        hooks = find_hooks(
-            self.graph, self.valence, max_hooks, instrument=self.metrics
-        )
+        hooks = find_hooks(self.graph, self.valence, max_hooks)
         fd = self.graph.fd_sequence
         return HookReport(
             num_hooks=len(hooks),

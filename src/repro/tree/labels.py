@@ -13,7 +13,7 @@ I-hat ∪ O_D).
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 from repro.ioa.composition import Composition
 

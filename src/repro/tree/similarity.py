@@ -21,7 +21,7 @@ experiments' structural backbone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.ioa.composition import Composition
 from repro.system.channel import ChannelAutomaton

@@ -28,7 +28,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.ioa.actions import Action
 from repro.ioa.automaton import State
 from repro.ioa.composition import Composition
-from repro.obs.prof import cache_counter, cache_stats_delta, cache_stats_snapshot
+from repro.obs.prof import cache_counter
 from repro.tree.labels import FD_LABEL, tree_labels
 
 
@@ -102,12 +102,6 @@ class TaggedTreeGraph:
     max_vertices:
         Exploration bound; exceeding it raises ``RuntimeError`` (choose a
         quiescent algorithm or a shorter t_D).
-    instrument:
-        Anything :func:`repro.obs.instrument.coerce_instrument` accepts
-        (typically a :class:`repro.obs.metrics.MetricsRegistry`); the
-        build records ``tree.vertices`` / ``tree.edges`` counters
-        (cumulative over builds) and a ``tree.build_s`` wall-time
-        histogram into the metrics half.
     compiled:
         Accepted and ignored: there is one build, which interns
         configurations itself.  The keyword stays while the compiled
@@ -121,16 +115,12 @@ class TaggedTreeGraph:
         composition: Composition,
         fd_sequence: Sequence[Action],
         max_vertices: int = 200_000,
-        instrument=None,
         compiled: Optional[bool] = None,
     ):
-        from repro.obs.instrument import coerce_instrument
-
         self.composition = composition
         self.fd_sequence: Tuple[Action, ...] = tuple(fd_sequence)
         self.labels: List[str] = tree_labels(composition)
         self.max_vertices = max_vertices
-        self.metrics = metrics = coerce_instrument(instrument).metrics
         #: the root vertex: the initial configuration at FD index 0
         #: (admitted first by the build)
         self.root: TreeVertex
@@ -139,29 +129,7 @@ class TaggedTreeGraph:
         self.edges: Dict[
             TreeVertex, Dict[str, Tuple[Optional[Action], TreeVertex]]
         ] = {}
-        if metrics is not None:
-            cache_base = cache_stats_snapshot()
-            with metrics.timer("tree.build_s"):
-                self._build()
-            metrics.counter("tree.vertices").inc(len(self.edges))
-            metrics.counter("tree.edges").inc(
-                sum(len(out) for out in self.edges.values())
-            )
-            for name, stats in cache_stats_delta(cache_base).items():
-                for kind in ("hits", "misses", "evictions"):
-                    if stats[kind]:
-                        metrics.counter(f"cache.{name}.{kind}").inc(
-                            stats[kind]
-                        )
-        else:
-            self._build()
-
-    def attach_metrics(self, registry) -> "TaggedTreeGraph":
-        """Record subsequent tree operations into ``registry``; returns
-        self.  (The build itself is timed only when the registry is
-        passed at construction via ``instrument=``.)"""
-        self.metrics = registry
-        return self
+        self._build()
 
     # -- Construction --------------------------------------------------------
 

@@ -18,9 +18,11 @@ from repro.system.fault_pattern import FaultPattern
 LOCS = (0, 1, 2)
 
 
-def run(proposals, crashes, locations=LOCS, policy=None, steps=30000):
+def run(
+    proposals, crashes, locations=LOCS, policy=None, steps=30000, algorithm=None
+):
     return run_consensus_experiment(
-        ct_consensus_algorithm(locations),
+        algorithm or ct_consensus_algorithm(locations),
         EventuallyStrong(locations),
         proposals=proposals,
         fault_pattern=FaultPattern(crashes, locations),
@@ -113,6 +115,10 @@ class TestMechanics:
         )
 
     def test_quiescent_after_decision(self):
-        result = run({0: 1, 1: 1, 2: 1}, {})
+        algorithm = ct_consensus_algorithm(LOCS)
+        result = run({0: 1, 1: 1, 2: 1}, {}, algorithm=algorithm)
         final = result.execution.final_state
         assert result.decisions == {0: 1, 1: 1, 2: 1}
+        # The processes come first in the system's composition.
+        for k, process in enumerate(algorithm.automata()):
+            assert list(process.enabled_locally(final[k])) == []

@@ -14,9 +14,17 @@ from repro.system.fault_pattern import FaultPattern
 LOCS = (0, 1, 2)
 
 
-def run(proposals, crashes, f=2, locations=LOCS, policy=None, steps=6000):
+def run(
+    proposals,
+    crashes,
+    f=2,
+    locations=LOCS,
+    policy=None,
+    steps=6000,
+    algorithm=None,
+):
     return run_consensus_experiment(
-        perfect_consensus_algorithm(locations),
+        algorithm or perfect_consensus_algorithm(locations),
         Perfect(locations),
         proposals=proposals,
         fault_pattern=FaultPattern(crashes, locations),
@@ -103,10 +111,13 @@ class TestProcessMechanics:
     def test_quiescence_after_decision(self):
         """The process has no enabled actions once decided (needed by the
         bounded-problem and tree analyses)."""
-        result = run({0: 1, 1: 1, 2: 1}, {})
+        algorithm = perfect_consensus_algorithm(LOCS)
+        result = run({0: 1, 1: 1, 2: 1}, {}, algorithm=algorithm)
         final = result.execution.final_state
-        # Re-run a few more steps: no decide events appear again.
         assert result.decisions == {0: 1, 1: 1, 2: 1}
+        # The processes come first in the system's composition.
+        for k, process in enumerate(algorithm.automata()):
+            assert list(process.enabled_locally(final[k])) == []
 
     def test_coordinator_rotation(self):
         proc = PerfectConsensusProcess(1, LOCS)

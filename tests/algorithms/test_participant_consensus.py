@@ -1,12 +1,8 @@
 """End-to-end tests for the Section 10.1 reductions: the query-based
 participant detector is representative for consensus."""
 
-import pytest
-
 from repro.algorithms.consensus_perfect import perfect_consensus_algorithm
 from repro.algorithms.participant_consensus import (
-    ConsensusFromParticipantProcess,
-    ParticipantFromConsensusProcess,
     consensus_from_participant_algorithm,
     participant_from_consensus_algorithm,
 )

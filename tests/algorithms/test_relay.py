@@ -3,7 +3,6 @@
 import pytest
 
 from repro.algorithms.relay import TransformRelayProcess, relay_algorithm
-from repro.detectors.eventually_perfect import EventuallyPerfect
 from repro.detectors.omega import Omega, omega_output
 from repro.detectors.perfect import Perfect, perfect_output
 from repro.ioa.actions import Action

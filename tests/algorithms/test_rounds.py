@@ -3,7 +3,7 @@
 import pytest
 
 from repro.algorithms.kset_floodmin import FloodMinProcess
-from repro.algorithms.rounds import ADVANCE, NOT_READY, START
+from repro.algorithms.rounds import ADVANCE, START
 from repro.detectors.perfect import perfect_output
 from repro.system.channel import receive_action
 from repro.system.environment import propose_action

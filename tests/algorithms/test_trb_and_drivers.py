@@ -2,10 +2,9 @@
 
 import pytest
 
-from repro.algorithms.atomic_commit import NbacProcess, nbac_algorithm
+from repro.algorithms.atomic_commit import nbac_algorithm
 from repro.algorithms.consensus_perfect import perfect_consensus_algorithm
 from repro.algorithms.leader_election import (
-    LeaderElectionDriver,
     leader_election_algorithm,
 )
 from repro.algorithms.trb_flooding import (

@@ -179,28 +179,6 @@ class TestFactoryIdentity:
         assert det(batch.results) == det([fresh])
 
 
-class TestProgressInterplay:
-    def test_cache_event_announced_to_progress_sink(self, tmp_path):
-        specs = small_sweep(4)
-        store = ResultStore(str(tmp_path / "store"))
-        for spec in specs[:2]:
-            store.put(spec, spec.run())
-        events = []
-        BatchRunner(jobs=1, cache=store, progress=events.append).run(specs)
-        cache_events = [e for e in events if e["event"] == "cache"]
-        assert cache_events == [
-            {"event": "cache", "hits": 2, "misses": 2, "total": 4}
-        ]
-        runs = [e for e in events if e["event"] == "run"]
-        assert len(runs) == 2  # executed misses only
-        assert events[-1]["event"] == "batch-end"
-
-    def test_no_cache_event_without_a_cache(self):
-        events = []
-        BatchRunner(jobs=1, progress=events.append).run(small_sweep(2))
-        assert all(e["event"] != "cache" for e in events)
-
-
 class TestRaiseOnError:
     def test_raise_on_error_still_applies_to_misses(self, tmp_path):
         store = ResultStore(str(tmp_path / "store"))

@@ -1,7 +1,5 @@
 """Tests for the AFD base machinery (Section 3.2)."""
 
-import pytest
-
 from repro.core.afd import (
     CheckResult,
     check_afd_closure_properties,

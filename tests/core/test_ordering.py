@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.ordering import ReductionOutcome, evaluate_reduction
 from repro.core.afd import CheckResult
-from repro.detectors.registry import known_reductions, make_detector
+from repro.detectors.registry import known_reductions
 from repro.system.fault_pattern import FaultPattern
 
 LOCS = (0, 1, 2)

@@ -1,7 +1,5 @@
 """Tests for the Omega AFD (Section 3.3, Algorithm 1)."""
 
-import pytest
-
 from repro.core.afd import check_afd_closure_properties
 from repro.detectors.omega import Omega, OmegaAutomaton, omega_output
 from repro.system.fault_pattern import FaultPattern, crash_action

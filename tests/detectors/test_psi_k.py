@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.afd import check_afd_closure_properties
 from repro.detectors.psi_k import PsiK, PsiKAutomaton, psi_k_output
-from repro.system.fault_pattern import FaultPattern, crash_action
+from repro.system.fault_pattern import FaultPattern
 from tests.conftest import run_detector
 
 LOCS = (0, 1, 2)

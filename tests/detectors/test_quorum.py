@@ -1,7 +1,7 @@
 """Tests for the quorum failure detector Sigma."""
 
 from repro.core.afd import check_afd_closure_properties
-from repro.detectors.quorum import Sigma, SigmaAutomaton, sigma_output
+from repro.detectors.quorum import Sigma, sigma_output
 from repro.system.fault_pattern import FaultPattern, crash_action
 from tests.conftest import run_detector
 

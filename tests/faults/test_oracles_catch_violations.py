@@ -14,8 +14,6 @@ that base.
 
 from __future__ import annotations
 
-import pytest
-
 from repro.detectors.omega import Omega, omega_output
 from repro.faults.oracles import (
     AfdValidityOracle,

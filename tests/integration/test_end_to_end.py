@@ -6,11 +6,9 @@ strong AFD decides."""
 import pytest
 
 from repro.algorithms.consensus_omega import (
-    OmegaConsensusProcess,
     omega_consensus_algorithm,
 )
 from repro.algorithms.consensus_perfect import (
-    PerfectConsensusProcess,
     perfect_consensus_algorithm,
 )
 from repro.analysis.checkers import run_consensus_experiment

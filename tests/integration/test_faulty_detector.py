@@ -20,7 +20,6 @@ from repro.detectors.base import CrashsetDetectorAutomaton, sorted_tuple
 from repro.detectors.perfect import PERFECT_OUTPUT, Perfect
 from repro.problems.consensus import ConsensusProblem
 from repro.system.environment import ScriptedConsensusEnvironment
-from repro.system.fault_pattern import FaultPattern
 from repro.system.network import SystemBuilder
 
 LOCS = (0, 1, 2)

@@ -9,7 +9,6 @@ P → ◇P → Omega → Paxos as single systems.
 import pytest
 
 from repro.algorithms.consensus_omega import (
-    OmegaConsensusProcess,
     omega_consensus_algorithm,
 )
 from repro.detectors.eventually_perfect import EventuallyPerfectAutomaton

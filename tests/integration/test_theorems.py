@@ -12,7 +12,6 @@ from repro.algorithms.consensus_perfect import (
 )
 from repro.analysis.checkers import run_consensus_experiment
 from repro.analysis.hierarchy import validate_hierarchy
-from repro.core.ordering import evaluate_reduction
 from repro.core.self_implementation import self_implementation_algorithm
 from repro.detectors.perfect import Perfect, PerfectAutomaton
 from repro.detectors.registry import ZOO, known_reductions, make_detector

@@ -6,7 +6,6 @@ from repro.ioa.actions import Action, BOTTOM
 from repro.ioa.executions import (
     ActionSequence,
     Execution,
-    Schedule,
     Trace,
     apply_schedule,
 )

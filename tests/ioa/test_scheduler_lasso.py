@@ -1,17 +1,21 @@
 """Lasso-closed runs: when ``Scheduler.run`` stops stepping, and what it
 replays.
 
-A round-robin run (that exact policy type) with nothing queued and no
-metrics registry is closed once its (state, cursor) pair repeats; the
-rest of the run is the cycle, appended without stepping.  One test per
-eligibility condition, plus the exact lasso of a hand-built machine and
-the profiler's account of executed and replayed steps.
+A round-robin run (that exact policy type) with nothing queued is closed
+once its (state, cursor) pair repeats; the rest of the run is the cycle,
+appended without stepping.  One test per eligibility condition, plus the
+exact lasso of a hand-built machine and the profiler's account of
+executed and replayed steps.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
+from repro.algorithms.consensus_omega import omega_consensus_algorithm
+from repro.faults import FaultPlan
 from repro.faults.adversary import CrashRuleController
 from repro.ioa.actions import Action
 from repro.ioa.automaton import FunctionalAutomaton
@@ -23,10 +27,10 @@ from repro.ioa.scheduler import (
     Scheduler,
 )
 from repro.ioa.signature import FiniteActionSet, Signature
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import StepProfiler
 from repro.obs.trace import Observer
 from repro.problems.bounded import MaskedRoundRobinPolicy
+from repro.runner import ExperimentSpec, run_spec
 
 from tests.ioa.test_scheduler_observer import RecordingObserver
 
@@ -200,17 +204,6 @@ class TestIneligibleRunsNeverClose:
         assert "replay" not in prof.phase_calls
 
     @ENGINES
-    def test_metrics_registry_blocks_closure(self, compiled):
-        registry = MetricsRegistry()
-        prof = StepProfiler()
-        execution = Scheduler(
-            instrument=(registry, prof), compiled=compiled
-        ).run(two_tasks_one_state(), 30)
-        assert execution.lasso is None
-        assert prof.phase_calls["apply"] == 30
-        assert registry.to_dict()["scheduler.steps"]["value"] == 30
-
-    @ENGINES
     def test_observers_and_profilers_do_not_block_closure(self, compiled):
         plain = Scheduler(compiled=compiled).run(prefix_and_cycle(), 20)
         watched = Scheduler(
@@ -218,6 +211,32 @@ class TestIneligibleRunsNeverClose:
         ).run(prefix_and_cycle(), 20)
         assert plain.lasso == watched.lasso == (2, 3)
         assert watched == plain
+
+    @ENGINES
+    def test_instrumented_specs_close(self, compiled):
+        # Lossy channels keep this consensus run from ever settling, so
+        # it runs its whole budget.
+        spec = ExperimentSpec(
+            algorithm=omega_consensus_algorithm,
+            detector="omega",
+            locations=(0, 1, 2),
+            proposals={0: 1, 1: 0, 2: 1},
+            f=1,
+            seed=5,
+            max_steps=3_000,
+            fault_plan=FaultPlan.uniform(drop_p=0.3),
+            compiled=compiled,
+        )
+        traced = replace(spec, instrument=True)
+        plain = run_spec(spec, keep=True)
+        watched = run_spec(traced, keep=True)
+        stepped = run_spec(traced, policy=RoundRobinSubclass(), keep=True)
+        lasso = watched.run.execution.lasso
+        assert lasso == plain.run.execution.lasso == (28, 3)
+        assert watched.steps == plain.steps == 3_000
+        assert watched.decisions == plain.decisions
+        assert stepped.run.execution.lasso is None
+        assert watched.trace == stepped.trace
 
 
 class TestProfilerAccount:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.ioa.scheduler import Scheduler
 from repro.obs.instrument import Instrumentation, coerce_instrument
-from repro.obs.metrics import MetricsObserver, MetricsRegistry
 from repro.obs.prof import StepProfiler
 from repro.obs.trace import TraceRecorder
 from repro.system.network import SystemBuilder
@@ -17,32 +16,26 @@ LOCS = (0, 1, 2)
 class TestCoerce:
     def test_none(self):
         bundle = coerce_instrument(None)
-        assert bundle.observer is None and bundle.metrics is None
+        assert bundle.observer is None and bundle.profiler is None
         assert not bundle
-
-    def test_registry(self):
-        reg = MetricsRegistry()
-        bundle = coerce_instrument(reg)
-        assert bundle.metrics is reg and bundle.observer is None
-        assert bundle
 
     def test_observer(self):
         rec = TraceRecorder()
         bundle = coerce_instrument(rec)
-        assert bundle.observer is rec and bundle.metrics is None
+        assert bundle.observer is rec and bundle.profiler is None
 
     def test_tuple_merges(self):
-        rec, reg = TraceRecorder(), MetricsRegistry()
-        bundle = coerce_instrument((rec, reg))
-        assert bundle.observer is rec and bundle.metrics is reg
+        rec, prof = TraceRecorder(), StepProfiler()
+        bundle = coerce_instrument((rec, prof))
+        assert bundle.observer is rec and bundle.profiler is prof
 
     def test_nested_with_nones(self):
-        reg = MetricsRegistry()
-        bundle = coerce_instrument((None, (reg, None)))
-        assert bundle.metrics is reg
+        prof = StepProfiler()
+        bundle = coerce_instrument((None, (prof, None)))
+        assert bundle.profiler is prof
 
     def test_passthrough(self):
-        inst = Instrumentation(metrics=MetricsRegistry())
+        inst = Instrumentation(profiler=StepProfiler())
         assert coerce_instrument(inst) is inst
 
     def test_rejects_junk(self):
@@ -57,15 +50,8 @@ class TestCoerce:
         prof = StepProfiler()
         bundle = coerce_instrument(prof)
         assert bundle.profiler is prof
-        assert bundle.observer is None and bundle.metrics is None
+        assert bundle.observer is None
         assert bundle
-
-    def test_all_three_halves_merge(self):
-        rec, reg, prof = TraceRecorder(), MetricsRegistry(), StepProfiler()
-        bundle = coerce_instrument((rec, reg, prof))
-        assert bundle.observer is rec
-        assert bundle.metrics is reg
-        assert bundle.profiler is prof
 
     def test_first_profiler_wins_in_merge(self):
         first, second = StepProfiler(), StepProfiler()
@@ -86,23 +72,11 @@ class TestSchedulerInstrument:
             w for w in recwarn if w.category is DeprecationWarning
         ]
 
-    def test_metrics_half_records_run(self):
-        reg = MetricsRegistry()
-        Scheduler(instrument=reg)
-        assert Scheduler(instrument=reg)._metrics is reg
-
-    def test_attach_metrics(self):
-        reg = MetricsRegistry()
-        scheduler = Scheduler()
-        assert scheduler.attach_metrics(reg) is scheduler
-        assert scheduler._metrics is reg
-
-    def test_observer_and_metrics_halves_together(self):
-        mobs = MetricsObserver()
-        reg = MetricsRegistry()
-        scheduler = Scheduler(instrument=(mobs, reg))
-        assert scheduler.observer is mobs
-        assert scheduler._metrics is reg
+    def test_observer_and_profiler_halves_together(self):
+        rec, prof = TraceRecorder(), StepProfiler()
+        scheduler = Scheduler(instrument=(rec, prof))
+        assert scheduler.observer is rec
+        assert scheduler.profiler is prof
 
 
 class TestBuilderInstrument:
@@ -113,10 +87,10 @@ class TestBuilderInstrument:
         assert not hasattr(SystemBuilder(LOCS), "with_metrics")
 
     def test_with_instrumentation_sets_both(self, recwarn):
-        rec, reg = TraceRecorder(), MetricsRegistry()
-        builder = SystemBuilder(LOCS).with_instrumentation((rec, reg))
+        rec, prof = TraceRecorder(), StepProfiler()
+        builder = SystemBuilder(LOCS).with_instrumentation((rec, prof))
         assert builder.observer is rec
-        assert builder.metrics is reg
+        assert builder.profiler is prof
         assert not [
             w for w in recwarn if w.category is DeprecationWarning
         ]

@@ -18,7 +18,6 @@ from repro.ioa.scheduler import (
     set_default_profiler,
 )
 from repro.ioa.signature import FiniteActionSet, Signature
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.prof import (
     PHASES,
     PROFILE_SCHEMA,
@@ -451,27 +450,3 @@ class TestSpecProfile:
         assert cache["composition.snapshot"]["hit_rate"] > 0.9
         assert cache["composition.snapshot"]["misses"] >= 1
         assert cache["composition.enabled"]["hit_rate"] > 0.5
-
-
-class TestMetricsExport:
-    def test_scheduler_exports_run_metrics_and_cache_deltas(self):
-        registry = MetricsRegistry()
-        Scheduler(RoundRobinPolicy(), instrument=registry).run(
-            two_task_machine(), 6
-        )
-        snapshot = registry.to_dict()
-        # The toy machine is not composed, so composition memos may be
-        # idle (idle deltas are dropped) — but the run metrics must land
-        # and any exported cache counter follows the naming convention.
-        assert "scheduler.steps" in snapshot
-        assert all(
-            n.count(".") >= 2 for n in snapshot if n.startswith("cache.")
-        )
-
-    def test_composed_run_exports_composition_counters(self):
-        result = run_spec(consensus_spec(instrument=True))
-        # run_spec builds its own registry; the export surfaces through
-        # the serialized report's metrics snapshot.
-        assert result.report is not None
-        metrics = result.report.get("metrics", {})
-        assert any(n.startswith("cache.composition.") for n in metrics)

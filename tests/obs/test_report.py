@@ -11,7 +11,6 @@ from repro.algorithms.consensus_perfect import perfect_consensus_algorithm
 from repro.analysis.checkers import run_consensus_experiment
 from repro.detectors.perfect import Perfect
 from repro.ioa.actions import Action
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.report import (
     RunReport,
     build_run_report,
@@ -40,18 +39,14 @@ def instrumented_run():
 class TestBuildRunReport:
     def test_from_recorder_and_execution(self):
         result, recorder = instrumented_run()
-        metrics = MetricsRegistry()
-        metrics.counter("tree.vertices").inc(3)
         report = build_run_report(
             execution=result.execution,
             recorder=recorder,
-            metrics=metrics,
             meta={"experiment": "test"},
         )
         assert report.stats.decisions == 2
         assert report.event_counts["decision"] == 2
         assert report.event_counts["checker"] == 2
-        assert report.metrics["tree.vertices"]["value"] == 3
         assert any("->" in edge for edge in report.message_matrix)
         assert sum(report.message_matrix.values()) == report.stats.sends
         d = report.to_dict()

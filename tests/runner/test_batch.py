@@ -10,7 +10,6 @@ from multiprocessing.pool import RemoteTraceback
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import validate_bench_artifact
 from repro.runner import (
     BatchRunner,
@@ -135,13 +134,6 @@ class TestBatchRunner:
         assert len(batch) == 2
         assert batch.results[0].ok and not batch.results[1].ok
 
-    def test_batch_metrics(self):
-        reg = MetricsRegistry()
-        BatchRunner(jobs=1, instrument=reg).run([trace_spec()] * 3)
-        assert reg.counter("batch.runs").value == 3
-        assert reg.counter("batch.failures").value == 0
-        assert reg.histogram("batch.wall_s").count == 1
-
     def test_to_bench_artifact_schema_valid(self):
         batch = BatchRunner(jobs=1).run([trace_spec()] * 2)
         doc = batch.to_bench_artifact("t01", "batch artifact test")
@@ -151,109 +143,3 @@ class TestBatchRunner:
     @pytest.mark.usefixtures("fan_out_everything")
     def test_map_uses_runner_jobs(self):
         assert BatchRunner(jobs=2).map(_square, [2, 3]) == [4, 9]
-
-
-class TestProgress:
-    def specs(self, n=4):
-        return [trace_spec(seed=k, label=f"run-{k}") for k in range(n)]
-
-    @pytest.mark.usefixtures("fan_out_everything")
-    def test_progress_changes_nothing_about_results(self, tmp_path):
-        specs = self.specs()
-        plain = BatchRunner(jobs=2).run(specs)
-        tracked = BatchRunner(
-            jobs=2, progress=str(tmp_path / "progress.jsonl")
-        ).run(specs)
-        assert [r.row() for r in tracked] == [r.row() for r in plain]
-
-    @pytest.mark.usefixtures("fan_out_everything")
-    def test_pool_keeps_progress_event_keys_and_order(self):
-        def shape(events):
-            return [
-                (e["event"], sorted(e), e.get("completed"), e.get("label"))
-                for e in events
-            ]
-
-        specs = self.specs(3) + [trace_spec(detector="no-such", label="bad")]
-        serial, pooled = [], []
-        BatchRunner(jobs=1, progress=serial.append).run(specs)
-        BatchRunner(jobs=2, progress=pooled.append).run(specs)
-        assert shape(pooled) == shape(serial)
-        assert [e["ok"] for e in pooled[:-1]] == [True, True, True, False]
-        assert pooled[-1]["jobs"] == 2
-
-    def test_file_sink_emits_monotone_run_events(self, tmp_path):
-        import json
-
-        path = tmp_path / "progress.jsonl"
-        BatchRunner(jobs=1, progress=str(path)).run(self.specs(3))
-        events = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        runs = [e for e in events if e["event"] == "run"]
-        assert [e["completed"] for e in runs] == [1, 2, 3]
-        assert all(e["total"] == 3 and e["ok"] for e in runs)
-        end = events[-1]
-        assert end["event"] == "batch-end"
-        assert end["runs"] == 3 and end["errors"] == 0
-        assert end["jobs"] == 1
-
-    def test_callable_sink_and_error_tally(self):
-        events = []
-        specs = [trace_spec(), trace_spec(detector="no-such", label="bad")]
-        BatchRunner(jobs=1, progress=events.append).run(specs)
-        runs = [e for e in events if e["event"] == "run"]
-        assert [e["ok"] for e in runs] == [True, False]
-        assert events[-1]["errors"] == 1
-
-    def test_sink_file_truncated_per_sweep(self, tmp_path):
-        import json
-
-        path = tmp_path / "progress.jsonl"
-        BatchRunner(jobs=1, progress=str(path)).run(self.specs(2))
-        BatchRunner(jobs=1, progress=str(path)).run(self.specs(2))
-        events = [
-            json.loads(line) for line in path.read_text().splitlines()
-        ]
-        # One sweep's worth of events, not two appended.
-        assert sum(1 for e in events if e["event"] == "batch-end") == 1
-
-    def test_sink_opens_file_exactly_once(self, tmp_path, monkeypatch):
-        # Regression: emit() used to reopen the JSONL file per event —
-        # O(runs) opens on large sweeps.  One handle for the sink's
-        # lifetime now, with byte-identical output.
-        import builtins
-
-        path = tmp_path / "progress.jsonl"
-        real_open = builtins.open
-        opens = []
-
-        def counting_open(file, *args, **kwargs):
-            if str(file) == str(path):
-                opens.append(file)
-            return real_open(file, *args, **kwargs)
-
-        monkeypatch.setattr(builtins, "open", counting_open)
-        BatchRunner(jobs=1, progress=str(path)).run(self.specs(5))
-        assert len(opens) == 1
-        assert len(path.read_text().splitlines()) == 6  # 5 runs + batch-end
-
-    def test_sink_close_is_explicit_and_final(self, tmp_path):
-        from repro.runner.batch import _ProgressSink
-
-        path = tmp_path / "progress.jsonl"
-        with _ProgressSink(str(path)) as sink:
-            sink.emit({"event": "run", "completed": 1})
-            sink.emit({"event": "batch-end", "runs": 1})
-        assert len(path.read_text().splitlines()) == 2
-        with pytest.raises(ValueError):
-            sink.emit({"event": "late"})  # closed handle refuses writes
-
-    def test_callable_sink_close_noop(self):
-        from repro.runner.batch import _ProgressSink
-
-        events = []
-        with _ProgressSink(events.append) as sink:
-            sink.emit({"event": "run"})
-        sink.emit({"event": "still-fine"})  # no handle to close
-        assert len(events) == 2

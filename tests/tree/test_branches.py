@@ -1,7 +1,5 @@
 """Tests for fair branches (Lemma 36, Proposition 48)."""
 
-import pytest
-
 from repro.system.fault_pattern import is_crash
 from repro.tree.branches import (
     branch_is_settled,

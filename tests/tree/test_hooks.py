@@ -12,7 +12,6 @@ from repro.tree.valence import (
 from tests.tree.conftest import (
     LOCS,
     build_tree_system,
-    crash_free_td,
     one_crash_td,
 )
 

@@ -2,16 +2,14 @@
 
 import pytest
 
-from repro.detectors.perfect import perfect_output
 from repro.ioa.actions import Action
 from repro.ioa.automaton import FunctionalAutomaton
 from repro.ioa.composition import Composition
 from repro.ioa.signature import FiniteActionSet, Signature
 from repro.obs.prof import cache_stats_delta, cache_stats_snapshot
 from repro.tree.labels import FD_LABEL, tree_labels
-from repro.tree.tagged_tree import TaggedTreeGraph, TreeVertex
+from repro.tree.tagged_tree import TaggedTreeGraph
 from tests.tree.conftest import (
-    LOCS,
     build_tree_system,
     crash_free_td,
     one_crash_td,

@@ -1,6 +1,5 @@
 """Tests for valence (Section 9.5)."""
 
-from repro.tree.labels import FD_LABEL
 from repro.tree.tagged_tree import TaggedTreeGraph
 from repro.tree.valence import (
     Valence,
