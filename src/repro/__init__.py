@@ -34,7 +34,7 @@ Subpackages
     Seeded fault injection (chaos): ``FaultPlan``, faulty channel
     automata, adversarial crash rules, trace-conformance oracles.
 ``repro.obs``
-    Observability: tracing, step profiling, run reports, bench artifacts.
+    Observability: tracing, step profiling, bench artifacts.
 ``repro.lint``
     Two-layer static analysis: the semantic I/O-automaton contract
     checker and the determinism-convention AST linter
@@ -71,7 +71,7 @@ __version__ = "1.10.0"
 
 # Lazy facade (PEP 562): ``repro.<name>`` resolves through repro.api on
 # first touch, so ``import repro`` stays cheap and the submodule CLIs
-# (python -m repro.obs.report, ...) import nothing extra.
+# (python -m repro.obs.schema, ...) import nothing extra.
 def __getattr__(name):
     from importlib import import_module
 

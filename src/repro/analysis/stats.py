@@ -5,6 +5,10 @@ the benchmark series report *harness* quantities — decision latency in
 events, message counts, tree sizes — whose shapes the experiments assert
 (e.g. latency grows with n; hook counts are positive; stronger detectors
 never lose to weaker ones on solvable instances).
+
+:func:`collect_run_statistics` tallies one run straight from its
+:class:`~repro.ioa.executions.Execution`; an instrumented run's
+event-kind tallies are :meth:`repro.obs.trace.TraceRecorder.counts`.
 """
 
 from __future__ import annotations

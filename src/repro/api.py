@@ -158,9 +158,8 @@ from repro.obs.prof import (
     reset_cache_stats,
     validate_profile,
 )
-from repro.obs.report import RunReport, build_run_report
 from repro.obs.schema import make_bench_artifact, validate_bench_artifact
-from repro.obs.trace import MultiObserver, Observer, TraceRecorder
+from repro.obs.trace import Observer, TraceRecorder
 
 # -- Static analysis (repro.lint) -------------------------------------------
 from repro.lint import (
@@ -316,13 +315,10 @@ __all__ = [
     # observability
     "CacheCounter",
     "Instrumentation",
-    "MultiObserver",
     "Observer",
-    "RunReport",
     "SeriesDrift",
     "StepProfiler",
     "TraceRecorder",
-    "build_run_report",
     "cache_counter",
     "cache_stats_delta",
     "cache_stats_snapshot",

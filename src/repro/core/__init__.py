@@ -8,7 +8,6 @@ weakest/representative notions of Section 7.
 """
 
 from repro.core.validity import (
-    ValidityReport,
     faulty_locations,
     first_crash_index,
     is_valid_finite,
@@ -42,7 +41,6 @@ from repro.core.representative import (
 )
 
 __all__ = [
-    "ValidityReport",
     "faulty_locations",
     "first_crash_index",
     "is_valid_finite",

@@ -31,7 +31,6 @@ membership; the hypothesis-based test suite drives it across the zoo.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
 from typing import Callable, FrozenSet, List, Sequence, Tuple
 
 from repro.ioa.actions import Action
@@ -41,35 +40,12 @@ from repro.core.renaming import Renaming
 from repro.core.reordering import random_constrained_reordering
 from repro.core.sampling import random_sampling
 from repro.core.validity import (
+    CheckResult,
     check_no_outputs_after_crash,
     is_valid_finite,
     live_locations,
 )
 from repro.system.fault_pattern import is_crash
-
-
-@dataclass
-class CheckResult:
-    """Outcome of a specification check, with reasons on failure."""
-
-    ok: bool
-    reasons: List[str] = field(default_factory=list)
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    @staticmethod
-    def success() -> "CheckResult":
-        return CheckResult(True)
-
-    @staticmethod
-    def failure(*reasons: str) -> "CheckResult":
-        return CheckResult(False, list(reasons))
-
-    def merge(self, other) -> "CheckResult":
-        return CheckResult(
-            self.ok and other.ok, self.reasons + list(other.reasons)
-        )
 
 
 def eventually_forever(
@@ -211,8 +187,7 @@ class AFD(ABC):
         result = self.check_events_well_formed(t)
         if not result:
             return result
-        validity = check_no_outputs_after_crash(t)
-        result = result.merge(CheckResult(validity.ok, validity.reasons))
+        result = result.merge(check_no_outputs_after_crash(t))
         if not result:
             return result
         return result.merge(self.extra_safety(t))
@@ -229,8 +204,9 @@ class AFD(ABC):
         result = self.check_safety(t)
         if not result:
             return result
-        validity = is_valid_finite(t, self.locations, min_live_outputs)
-        result = result.merge(CheckResult(validity.ok, validity.reasons))
+        result = result.merge(
+            is_valid_finite(t, self.locations, min_live_outputs)
+        )
         if not result:
             return result
         live = live_locations(t, self.locations)

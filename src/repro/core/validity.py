@@ -13,6 +13,10 @@ finite traces produced by simulation we check the standard finite
 approximation: every live location has at least ``min_live_outputs``
 output events (callers pick the threshold; experiments run long enough
 that the threshold is comfortably met by any fair run).
+
+:class:`CheckResult`, the verdict type of every specification checker,
+lives here so that :mod:`repro.core.afd` (which re-exports it) and the
+validity checks share it without an import cycle.
 """
 
 from __future__ import annotations
@@ -50,8 +54,8 @@ def outputs_at(t: Sequence[Action], location: int) -> List[Action]:
 
 
 @dataclass
-class ValidityReport:
-    """The result of a validity check, with human-readable reasons."""
+class CheckResult:
+    """Outcome of a specification check, with reasons on failure."""
 
     ok: bool
     reasons: List[str] = field(default_factory=list)
@@ -60,46 +64,48 @@ class ValidityReport:
         return self.ok
 
     @staticmethod
-    def success() -> "ValidityReport":
-        return ValidityReport(True)
+    def success() -> "CheckResult":
+        return CheckResult(True)
 
     @staticmethod
-    def failure(*reasons: str) -> "ValidityReport":
-        return ValidityReport(False, list(reasons))
+    def failure(*reasons: str) -> "CheckResult":
+        return CheckResult(False, list(reasons))
 
-    def merge(self, other: "ValidityReport") -> "ValidityReport":
-        return ValidityReport(self.ok and other.ok, self.reasons + other.reasons)
+    def merge(self, other) -> "CheckResult":
+        return CheckResult(
+            self.ok and other.ok, self.reasons + list(other.reasons)
+        )
 
 
-def check_no_outputs_after_crash(t: Sequence[Action]) -> ValidityReport:
+def check_no_outputs_after_crash(t: Sequence[Action]) -> CheckResult:
     """Validity condition (1), exact on finite sequences."""
     crashed: set = set()
     for k, a in enumerate(t):
         if is_crash(a):
             crashed.add(a.location)
         elif a.location in crashed:
-            return ValidityReport.failure(
+            return CheckResult.failure(
                 f"event {a} at index {k} occurs after crash_{a.location}"
             )
-    return ValidityReport.success()
+    return CheckResult.success()
 
 
 def check_live_output_liveness(
     t: Sequence[Action],
     locations: Sequence[int],
     min_live_outputs: int,
-) -> ValidityReport:
+) -> CheckResult:
     """Validity condition (2), finite approximation.
 
     Every location without a crash event must have at least
     ``min_live_outputs`` output events in t.
     """
-    report = ValidityReport.success()
+    report = CheckResult.success()
     for i in live_locations(t, locations):
         count = len(outputs_at(t, i))
         if count < min_live_outputs:
             report = report.merge(
-                ValidityReport.failure(
+                CheckResult.failure(
                     f"live location {i} has only {count} output events "
                     f"(needed >= {min_live_outputs})"
                 )
@@ -111,7 +117,7 @@ def is_valid_finite(
     t: Sequence[Action],
     locations: Sequence[int],
     min_live_outputs: int = 1,
-) -> ValidityReport:
+) -> CheckResult:
     """Both validity conditions on a finite sequence.
 
     Condition (1) exactly; condition (2) as the finite approximation

@@ -3,21 +3,29 @@
 A :class:`~repro.system.fault_pattern.FaultPattern` crashes locations at
 *fixed global steps*, chosen before the run starts.  The
 :class:`~repro.faults.plan.CrashRule` triggers of a fault plan need a
-stronger adversary — one that watches the run and reacts to it ("crash
-the current Omega leader the step after it is first elected").
+stronger adversary — one that reacts to the run ("crash the current
+Omega leader the step after it is first elected").
 
-:class:`CrashRuleController` implements that adversary with the two
-hooks the engine already exposes:
+:class:`CrashRuleController` implements that adversary inside the
+scheduling policy: :meth:`~CrashRuleController.wrap` turns any
+:class:`~repro.ioa.scheduler.SchedulerPolicy` into one that, each turn,
 
-* as an :class:`~repro.obs.trace.Observer` it watches every fired action
-  and *arms* rules whose trigger event just occurred (recording the
-  target location and the step the crash becomes due);
-* :meth:`wrap` turns any :class:`~repro.ioa.scheduler.SchedulerPolicy`
-  into one that fires the due crash instead of consulting the wrapped
-  policy.  Crash actions are enabled in every state (the crash automaton
-  has no fairness obligation), so preempting one turn never violates the
-  scheduler's contract, and the run stays deterministic: rule firing is
-  a pure function of the trace prefix.
+* fires the due crash, if any, instead of consulting the wrapped
+  policy.  A crash of a location of the system is enabled in every
+  state (the crash automaton has no fairness obligation), so preempting
+  one turn never violates the scheduler's contract; a crash that no
+  component owns is rejected with a :class:`ValueError`;
+* otherwise asks the wrapped policy and *arms* the rules whose trigger
+  is the action it chose (recording the target location and the step
+  the crash becomes due).
+
+Every trigger — a send, a decide, a failure-detector output — is a
+locally controlled action, so it fires only when the policy chose it.
+The only actions that bypass the policy are a fault pattern's crash
+injections (Section 2.4: crashes are free inputs the adversary
+schedules), and those trigger nothing.  So the policy sees every
+trigger, and the run stays deterministic: rule firing is a pure
+function of the trace prefix.
 
 Fired crashes are recorded on :attr:`CrashRuleController.fired` (and as
 ordinary ``crash`` events in any attached trace), so oracles can check
@@ -32,12 +40,14 @@ from repro.faults.plan import CrashRule
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.scheduler import RoundRobinPolicy, SchedulerPolicy
-from repro.obs.trace import Observer, SEND, DECIDE
+from repro.system.channel import SEND
+from repro.system.environment import DECIDE
 from repro.system.fault_pattern import crash_action
 
 
-class CrashRuleController(Observer):
-    """Watches a run and fires :class:`CrashRule` crashes when due.
+class CrashRuleController:
+    """Arms :class:`CrashRule` crashes from a run's actions and fires
+    them when due.
 
     Parameters
     ----------
@@ -49,12 +59,11 @@ class CrashRuleController(Observer):
 
     Notes
     -----
-    Attach the controller to the run as (part of) its observer *and*
-    wrap the scheduling policy with :meth:`wrap`; the system builder's
-    fault-plan wiring does both.  Each rule fires at most once.  A rule
-    whose trigger never occurs — or that comes due only after the run
-    ends or quiesces — never fires; :attr:`fired` records what actually
-    happened as ``(step, location, rule)`` triples.
+    Drive the run with the policy :meth:`wrap` returns; the system
+    builder's fault-plan wiring does so.  Each rule fires at most once.
+    A rule whose trigger never occurs — or that comes due only after the
+    run ends or quiesces — never fires; :attr:`fired` records what
+    actually happened as ``(step, location, rule)`` triples.
     """
 
     def __init__(
@@ -64,25 +73,24 @@ class CrashRuleController(Observer):
     ):
         self.rules: Tuple[CrashRule, ...] = tuple(rules)
         self.fd_output_name = fd_output_name
+        self.reset()
+
+    def reset(self) -> None:
+        """Forget the previous run; arm the ``"at-step"`` rules."""
         self.fired: List[Tuple[int, int, CrashRule]] = []
+        self._done = set()
+        self._send_counts = {}
         #: rule index -> (step the crash becomes due, target location)
-        self._armed = {}
-        self._done = set()
-        self._send_counts = {}
-
-    # -- Observer protocol (trigger detection) ------------------------------
-
-    def on_run_start(self, automaton, max_steps: int) -> None:
-        self.fired = []
-        self._done = set()
-        self._send_counts = {}
         self._armed = {
             idx: (rule.param, rule.location)
             for idx, rule in enumerate(self.rules)
             if rule.trigger == "at-step"
         }
 
-    def on_action(self, step: int, action: Action, injected: bool) -> None:
+    # -- Trigger detection ---------------------------------------------------
+
+    def arm(self, step: int, action: Action) -> None:
+        """Arm the rules whose trigger is ``action``, fired at ``step``."""
         name = action.name
         if name == SEND:
             count = self._send_counts.get(action.location, 0) + 1
@@ -146,12 +154,15 @@ class CrashRuleController(Observer):
 
 
 class _RuleDrivenPolicy(SchedulerPolicy):
-    """Fires the controller's due crash; otherwise the inner policy runs.
+    """Fires the controller's due crash; otherwise the inner policy runs,
+    and its choice arms the controller's rules.
 
-    The scheduler applies policy-chosen actions directly; crash actions
-    are enabled in every state, so preemption is always legal.  When the
-    inner policy has nothing enabled the turn still returns the due
-    crash, so an armed rule can fire into an otherwise-quiescent system.
+    The scheduler applies policy-chosen actions directly, so the due
+    crash is checked here, as the scheduler checks an injection: it must
+    be enabled, that is, its target must be a location of the system.
+    When the inner policy has nothing enabled the turn still returns the
+    due crash, so an armed rule can fire into an otherwise-quiescent
+    system.
     """
 
     def __init__(self, controller: CrashRuleController, inner: SchedulerPolicy):
@@ -159,12 +170,23 @@ class _RuleDrivenPolicy(SchedulerPolicy):
         self.inner = inner
 
     def reset(self) -> None:
+        self.controller.reset()
         self.inner.reset()
 
     def choose(
         self, automaton: Automaton, state: State, step: int
     ) -> Optional[Action]:
-        due = self.controller.due(step)
+        controller = self.controller
+        due = controller.due(step)
         if due is not None:
+            if not automaton.enabled(state, due):
+                _step, target, rule = controller.fired[-1]
+                raise ValueError(
+                    f"{rule} targets {target!r}, which is not a location "
+                    f"of the system ({due} is not enabled at step {step})"
+                )
             return due
-        return self.inner.choose(automaton, state, step)
+        chosen = self.inner.choose(automaton, state, step)
+        if chosen is not None:
+            controller.arm(step, chosen)
+        return chosen

@@ -111,7 +111,10 @@ class CrashRule:
         target defaults to the output's payload head — for Omega-style
         detectors, the elected leader — so the canonical adversary
         "crash the leader the step after it is first elected" is
-        ``CrashRule("on-first-fd-output")``.
+        ``CrashRule("on-first-fd-output")``.  Without ``location`` the
+        rule needs a detector whose payload head is a location; for
+        suspect-set detectors (P, ◇P, Q, W, ...) it is a tuple, and
+        the run raises :class:`ValueError` when the rule fires.
     ``"on-first-decision"``
         Arms on the first ``decide`` event; target defaults to the
         decider.  Exercises crash-validity and agreement under the
@@ -121,7 +124,9 @@ class CrashRule:
         process mid-protocol).  ``location`` and ``param`` required.
 
     ``delay`` must be >= 1: the crash fires strictly after the step of
-    the trigger event.
+    the trigger event.  The target must be a location of the system:
+    a crash no component owns is not enabled, and the controller's
+    policy raises :class:`ValueError` instead of firing it.
     """
 
     trigger: str

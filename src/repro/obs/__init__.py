@@ -1,4 +1,4 @@
-"""Observability for the simulation harness: tracing, profiling, reports.
+"""Observability for the simulation harness: tracing and profiling.
 
 The paper's evaluation is a set of theorems checked over simulated
 executions; this subpackage is the instrument panel for those
@@ -11,11 +11,8 @@ nothing here runs unless an observer or a step profiler is attached.
 ``repro.obs.trace``
     Structured event tracing: an :class:`Observer` protocol the scheduler
     notifies, and a :class:`TraceRecorder` that turns the notifications
-    into typed, timestamped events with span timers and JSONL export.
-``repro.obs.report``
-    Per-run reports: a serializable :class:`RunReport` subsuming
-    :class:`~repro.analysis.stats.RunStatistics`, and the
-    ``python -m repro.obs.report`` CLI over saved JSONL traces.
+    into typed events (no clock readings) with span markers and the
+    canonical JSONL trace ``result.trace`` stores.
 ``repro.obs.schema``
     The stable schema of the persisted ``BENCH_*.json`` benchmark
     artifacts, with a validator (also a CLI: ``python -m
@@ -33,19 +30,15 @@ nothing here runs unless an observer or a step profiler is attached.
 
 # Lazy re-exports (PEP 562): importing a name pulls in only its module.
 # This keeps `import repro.obs` nearly free and lets the submodule CLIs
-# (`python -m repro.obs.report` / `.schema`) run without the runpy
-# double-import RuntimeWarning an eager `from .report import ...` causes.
+# (`python -m repro.obs.schema` / `.compare`) run without the runpy
+# double-import RuntimeWarning an eager `from .schema import ...` causes.
 _EXPORTS = {
     "Instrumentation": "repro.obs.instrument",
     "coerce_instrument": "repro.obs.instrument",
-    "RunReport": "repro.obs.report",
-    "build_run_report": "repro.obs.report",
     "BENCH_SCHEMA": "repro.obs.schema",
     "make_bench_artifact": "repro.obs.schema",
     "validate_bench_artifact": "repro.obs.schema",
-    "MultiObserver": "repro.obs.trace",
     "Observer": "repro.obs.trace",
-    "SpanRecord": "repro.obs.trace",
     "TraceEvent": "repro.obs.trace",
     "TraceRecorder": "repro.obs.trace",
     "PROFILE_SCHEMA": "repro.obs.prof",
@@ -81,14 +74,10 @@ def __dir__():
 __all__ = [
     "Instrumentation",
     "coerce_instrument",
-    "RunReport",
-    "build_run_report",
     "BENCH_SCHEMA",
     "make_bench_artifact",
     "validate_bench_artifact",
-    "MultiObserver",
     "Observer",
-    "SpanRecord",
     "TraceEvent",
     "TraceRecorder",
     "PROFILE_SCHEMA",

@@ -25,8 +25,8 @@ against.  Two halves:
     ``apply``         the transition function on the chosen action
     ``chan-tick``     applies of the chaos channels' internal ``chan-tick``
                       action (delay aging), split out of ``apply``
-    ``observe``       observer notifications (tracing, crash-rule
-                      controllers)
+    ``observe``       observer notifications (tracing; a crash rule
+                      arms inside ``policy``)
     ``injection``     the enabledness check of adversary-injected free
                       actions
     ``compile``       compiled engine: table resolution, booked before the

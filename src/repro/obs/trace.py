@@ -9,10 +9,14 @@ The scheduler resolves nondeterminism step by step; this module records
   notification with ``if observer is not None``, so a run without an
   observer allocates nothing and pays only that predicate.
 * :class:`TraceRecorder` — an observer that materializes notifications
-  into :class:`TraceEvent` records with monotonic timestamps, classifies
-  actions into the harness's event taxonomy (send / receive / crash /
-  decision / fd-output / injection / action), supports nested span
-  timers, and exports JSON Lines.
+  into :class:`TraceEvent` records, classifies actions into the
+  harness's event taxonomy (send / receive / crash / decision /
+  fd-output / injection / action), supports nested span markers, and
+  renders the canonical JSONL trace ``result.trace`` stores.
+
+Events record what happened, not when: the paper's AFDs have no real
+time (Section 3.2), so an event's only clock is its step index, and a
+deterministic run has one trace however and wherever it executed.
 
 Event taxonomy (the ``kind`` field):
 
@@ -27,8 +31,8 @@ Event taxonomy (the ``kind`` field):
 ``decision``     a ``decide`` action
 ``action``       any other action
 ``checker``      a specification checker verdict (``data.ok``)
-``span-start``   a span timer opened
-``span-end``     a span timer closed (``data.dur_s``)
+``span-start``   a span opened
+``span-end``     a span closed
 ``run-end``      the run ended (``data.reason``, ``data.steps``)
 ===============  ====================================================
 """
@@ -36,9 +40,8 @@ Event taxonomy (the ``kind`` field):
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, IO, Iterator, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional
 
 from repro.ioa.actions import Action
 
@@ -75,70 +78,24 @@ class Observer:
         """
 
 
-class MultiObserver(Observer):
-    """Fan one stream of notifications out to several observers.
-
-    Also proxies the :class:`TraceRecorder` extras (``record``, ``span``)
-    to whichever members support them, so callers can treat a fan-out
-    like a single recorder.
-    """
-
-    def __init__(self, *observers: Observer):
-        self.observers = tuple(observers)
-
-    def record(self, kind: str, **kwargs: Any) -> None:
-        for o in self.observers:
-            rec = getattr(o, "record", None)
-            if rec is not None:
-                rec(kind, **kwargs)
-
-    def span(self, name: str):
-        from contextlib import ExitStack
-
-        stack = ExitStack()
-        for o in self.observers:
-            member_span = getattr(o, "span", None)
-            if member_span is not None:
-                stack.enter_context(member_span(name))
-        return stack
-
-    def on_run_start(self, automaton, max_steps: int) -> None:
-        for o in self.observers:
-            o.on_run_start(automaton, max_steps)
-
-    def on_step_scheduled(self, step: int) -> None:
-        for o in self.observers:
-            o.on_step_scheduled(step)
-
-    def on_action(self, step: int, action: Action, injected: bool) -> None:
-        for o in self.observers:
-            o.on_action(step, action, injected)
-
-    def on_run_end(self, steps: int, reason: str) -> None:
-        for o in self.observers:
-            o.on_run_end(steps, reason)
-
-
 @dataclass
 class TraceEvent:
     """One recorded event.
 
-    ``t`` is seconds since the recorder was created (monotonic clock);
     ``span`` is the name of the innermost enclosing span, if any.
     """
 
-    __slots__ = ("kind", "step", "location", "name", "span", "t", "data")
+    __slots__ = ("kind", "step", "location", "name", "span", "data")
 
     kind: str
     step: Optional[int]
     location: Optional[int]
     name: Optional[str]
     span: Optional[str]
-    t: float
     data: Dict[str, Any]
 
     def to_dict(self) -> Dict[str, Any]:
-        d: Dict[str, Any] = {"kind": self.kind, "t": round(self.t, 9)}
+        d: Dict[str, Any] = {"kind": self.kind}
         if self.step is not None:
             d["step"] = self.step
         if self.location is not None:
@@ -152,42 +109,27 @@ class TraceEvent:
         return d
 
 
-@dataclass
-class SpanRecord:
-    """A closed span: name, start time, and duration (seconds)."""
-
-    name: str
-    start: float
-    dur_s: float
-
-
 class _SpanHandle:
     """Context manager returned by :meth:`TraceRecorder.span`."""
 
-    __slots__ = ("_recorder", "name", "_start")
+    __slots__ = ("_recorder", "name")
 
     def __init__(self, recorder: "TraceRecorder", name: str):
         self._recorder = recorder
         self.name = name
-        self._start = 0.0
 
     def __enter__(self) -> "_SpanHandle":
-        self._start = self._recorder._now()
         self._recorder._span_stack.append(self.name)
         self._recorder._append("span-start", None, None, self.name, {})
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        dur = self._recorder._now() - self._start
-        self._recorder._append(
-            "span-end", None, None, self.name, {"dur_s": round(dur, 9)}
-        )
+        self._recorder._append("span-end", None, None, self.name, {})
         self._recorder._span_stack.pop()
-        self._recorder.spans.append(SpanRecord(self.name, self._start, dur))
 
 
 class TraceRecorder(Observer):
-    """Record engine notifications as typed, timestamped events.
+    """Record engine notifications as typed events.
 
     Parameters
     ----------
@@ -220,14 +162,9 @@ class TraceRecorder(Observer):
         self.fd_output_name = fd_output_name
         self.record_steps = record_steps
         self.events: List[TraceEvent] = []
-        self.spans: List[SpanRecord] = []
         self._span_stack: List[str] = []
-        self._t0 = time.perf_counter()
 
     # -- Internals ---------------------------------------------------------
-
-    def _now(self) -> float:
-        return time.perf_counter() - self._t0
 
     def _append(
         self,
@@ -244,7 +181,6 @@ class TraceRecorder(Observer):
                 location=location,
                 name=name,
                 span=self._span_stack[-1] if self._span_stack else None,
-                t=self._now(),
                 data=data,
             )
         )
@@ -284,8 +220,8 @@ class TraceRecorder(Observer):
         data: Dict[str, Any] = {}
         if injected and kind != "injection":
             data["injected"] = True
-        # Message events carry the other endpoint so reports can build the
-        # per-location message matrix without re-parsing payloads.
+        # Message events carry the other endpoint, so a reader of the
+        # trace need not re-parse payloads.
         if kind == "send" and len(action.payload) == 2:
             data["dst"] = action.payload[1]
         elif kind == "receive" and len(action.payload) == 2:
@@ -311,11 +247,10 @@ class TraceRecorder(Observer):
         self._append(kind, step, location, name, data)
 
     def span(self, name: str) -> _SpanHandle:
-        """A context manager timing a named span.
+        """A context manager marking a named span.
 
-        Events recorded while the span is open carry its name; the closed
-        span is appended to :attr:`spans` and a ``span-end`` event with
-        the duration is recorded.
+        Events recorded while the span is open carry its name, between a
+        ``span-start`` and a ``span-end`` event.
         """
         return _SpanHandle(self, name)
 
@@ -328,62 +263,22 @@ class TraceRecorder(Observer):
             out[event.kind] = out.get(event.kind, 0) + 1
         return out
 
-    def events_of_kind(self, kind: str) -> List[TraceEvent]:
-        return [e for e in self.events if e.kind == kind]
-
-    def slowest_spans(self, top: int = 10) -> List[SpanRecord]:
-        return sorted(self.spans, key=lambda s: -s.dur_s)[:top]
-
     # -- Export -------------------------------------------------------------
 
-    def event_dicts(self) -> Iterator[Dict[str, Any]]:
-        for event in self.events:
-            yield event.to_dict()
-
     def canonical_dicts(self) -> Iterator[Dict[str, Any]]:
-        """Event dicts with the wall-clock fields removed.
+        """The events as dicts.
 
         For a deterministic run this sequence is itself deterministic —
         byte-identical however and wherever the run executed — which is
         what the :mod:`repro.runner` engine stores and what the
-        determinism tests compare.  Drops ``t`` from every event and
-        ``dur_s`` from ``span-end`` data.
+        determinism tests compare.
         """
         for event in self.events:
-            d = event.to_dict()
-            d.pop("t", None)
-            if event.kind == "span-end":
-                data = dict(d.get("data", {}))
-                data.pop("dur_s", None)
-                if data:
-                    d["data"] = data
-                else:
-                    d.pop("data", None)
-            yield d
+            yield event.to_dict()
 
     def canonical_jsonl_lines(self) -> List[str]:
-        """The canonical trace as JSONL lines (sorted keys, no timings)."""
+        """The canonical trace as JSONL lines (sorted keys)."""
         return [
             json.dumps(d, sort_keys=True, default=str)
             for d in self.canonical_dicts()
         ]
-
-    def to_jsonl(self, target: Union[str, IO[str]]) -> None:
-        """Write one JSON object per line to a path or open file."""
-        if hasattr(target, "write"):
-            for d in self.event_dicts():
-                target.write(json.dumps(d, default=str) + "\n")
-        else:
-            with open(target, "w", encoding="utf-8") as fp:
-                self.to_jsonl(fp)
-
-
-def load_jsonl(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL trace exported by :meth:`TraceRecorder.to_jsonl`."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as fp:
-        for line in fp:
-            line = line.strip()
-            if line:
-                events.append(json.loads(line))
-    return events

@@ -4,9 +4,11 @@ A spec carries everything needed to reproduce one run — algorithm,
 detector, problem, locations, proposals, fault pattern, seed, step
 budget, instrumentation config — as plain (picklable) values, so the
 same spec object can execute in this process or be shipped to a
-``multiprocessing`` worker and produce an *identical* trace either way.
-Determinism is the contract: :func:`run_spec` reconstructs every stateful
-piece (policy RNG, automata, recorders) from the spec alone.
+``multiprocessing`` worker and produce an *identical* trace either way:
+the canonical trace an instrumented spec returns records what happened
+and at which step, never a clock reading.  Determinism is the contract:
+:func:`run_spec` reconstructs every stateful piece (policy RNG,
+automata, recorders, crash-rule controllers) from the spec alone.
 
 The executable problems:
 
@@ -192,9 +194,8 @@ class ExperimentSpec:
     instrument:
         ``False`` (default): uninstrumented, zero overhead.  ``True``:
         a :class:`~repro.obs.trace.TraceRecorder` watches the run, and
-        its canonical trace and a :class:`~repro.obs.report.RunReport`
-        land in the result.  The execution is the uninstrumented one,
-        lasso closure included.
+        its canonical trace lands in ``result.trace``.  The execution is
+        the uninstrumented one, lasso closure included.
     profile:
         ``True`` attaches a :class:`~repro.obs.prof.StepProfiler` to the
         run and stores its summary (schema ``repro.profile/1``: phase
@@ -425,7 +426,7 @@ class ExperimentSpec:
         """The run identity: every field but instrumentation and engine.
 
         JSON-ready (:func:`encode_key`); :func:`spec_digest` hashes it
-        into the result store's key, and run reports carry it.
+        into the result store's key.
         """
         return self._key(_OUT_OF_RUN_KEY)
 
@@ -449,10 +450,9 @@ class ExperimentSpec:
 class ExperimentResult:
     """The picklable outcome of one executed spec.
 
-    ``trace`` is the canonical JSONL trace (no wall-clock fields) when the
-    spec asked for instrumentation — identical for identical specs no
-    matter where the run executed.  ``report`` is the serialized
-    :class:`~repro.obs.report.RunReport`.  ``profile`` is the
+    ``trace`` is the canonical JSONL trace when the spec asked for
+    instrumentation — identical for identical specs no matter where the
+    run executed.  ``profile`` is the
     ``repro.profile/1`` summary when the spec asked for profiling (its
     counter/cache halves are deterministic; wall times are not).
     ``error`` carries the repr of an in-run exception when the batch
@@ -476,7 +476,6 @@ class ExperimentResult:
     steps: int = 0
     messages_sent: int = 0
     wall_s: float = 0.0
-    report: Optional[Dict[str, Any]] = None
     trace: Optional[List[str]] = None
     profile: Optional[Dict[str, Any]] = None
     conformance: Optional[Dict[str, Any]] = None
@@ -518,8 +517,8 @@ def run_spec(
     ``policy`` overrides the spec-built scheduler policy with a live
     instance, ``decision_fn`` overrides the algorithm's decision
     extractor, ``instrument`` attaches a caller-owned instrumentation
-    bundle *instead of* the spec-built one (so ``result.trace`` /
-    ``result.report`` stay unset — the caller owns the recorder), and
+    bundle *instead of* the spec-built one (so ``result.trace`` stays
+    unset — the caller owns the recorder), and
     ``keep=True`` retains the full in-process
     :class:`~repro.analysis.checkers.ConsensusRunResult` on
     ``result.run``.
@@ -562,14 +561,7 @@ def run_spec(
     if profiler is not None:
         result.profile = profiler.summary()
     if recorder is not None:
-        from repro.obs.report import build_run_report
-
         result.trace = recorder.canonical_jsonl_lines()
-        result.report = build_run_report(
-            recorder=recorder,
-            meta=spec.meta(),
-            wall_s=result.wall_s,
-        ).to_dict()
     return result
 
 
@@ -651,8 +643,8 @@ def _run_consensus(
             for i in locations
         )
 
-    # A TraceRecorder observer gets the whole run timed as one span, so
-    # exported decision events carry a non-empty enclosing span.
+    # A TraceRecorder observer gets the whole run marked as one span, so
+    # recorded decision events carry a non-empty enclosing span.
     span = getattr(observer, "span", None)
     with span("consensus-run") if span is not None else nullcontext():
         execution = system.run(

@@ -8,12 +8,12 @@ project states and traces per component.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.composition import Composition
 from repro.ioa.executions import Execution, Trace
-from repro.ioa.scheduler import Injection, Scheduler, SchedulerPolicy
+from repro.ioa.scheduler import Scheduler, SchedulerPolicy
 from repro.system.channel import ChannelAutomaton, make_channels
 from repro.system.crash import CrashAutomaton
 from repro.system.fault_pattern import FaultPattern
@@ -22,6 +22,9 @@ from repro.system.process import DistributedAlgorithm
 
 class SystemBuilder:
     """Builds the composition of Figure 1 step by step.
+
+    Every built system has the channels and the crash automaton; the
+    algorithm, failure detector and environment are optional.
 
     Examples
     --------
@@ -41,9 +44,6 @@ class SystemBuilder:
         self.algorithm: Optional[DistributedAlgorithm] = None
         self.failure_detector: Optional[Automaton] = None
         self.environment: Optional[Automaton] = None
-        self.extra: List[Automaton] = []
-        self.include_channels = True
-        self.include_crash = True
         self.observer = None
         self.profiler = None
         self.fault_plan = None
@@ -65,18 +65,6 @@ class SystemBuilder:
 
     def with_environment(self, env: Automaton) -> "SystemBuilder":
         self.environment = env
-        return self
-
-    def with_extra(self, automaton: Automaton) -> "SystemBuilder":
-        self.extra.append(automaton)
-        return self
-
-    def without_channels(self) -> "SystemBuilder":
-        self.include_channels = False
-        return self
-
-    def without_crash_automaton(self) -> "SystemBuilder":
-        self.include_crash = False
         return self
 
     def with_fault_plan(self, plan) -> "SystemBuilder":
@@ -121,27 +109,22 @@ class SystemBuilder:
 
     def build(self) -> "System":
         components: List[Automaton] = []
-        channels: List[ChannelAutomaton] = []
-        crash: Optional[CrashAutomaton] = None
         plan = self.fault_plan
         if self.algorithm is not None:
             components.extend(self.algorithm.automata())
-        if self.include_channels:
-            if plan is not None and not plan.channels_inert:
-                from repro.faults.channels import make_faulty_channels
+        if plan is not None and not plan.channels_inert:
+            from repro.faults.channels import make_faulty_channels
 
-                channels = make_faulty_channels(self.locations, plan)
-            else:
-                channels = make_channels(self.locations)
-            components.extend(channels)
-        if self.include_crash:
-            crash = CrashAutomaton(self.locations)
-            components.append(crash)
+            channels = make_faulty_channels(self.locations, plan)
+        else:
+            channels = make_channels(self.locations)
+        components.extend(channels)
+        crash = CrashAutomaton(self.locations)
+        components.append(crash)
         if self.failure_detector is not None:
             components.append(self.failure_detector)
         if self.environment is not None:
             components.append(self.environment)
-        components.extend(self.extra)
         return System(
             composition=Composition(components, name="system"),
             locations=self.locations,
@@ -165,7 +148,7 @@ class System:
         locations: Tuple[int, ...],
         algorithm: Optional[DistributedAlgorithm],
         channels: List[ChannelAutomaton],
-        crash: Optional[CrashAutomaton],
+        crash: CrashAutomaton,
         failure_detector: Optional[Automaton],
         environment: Optional[Automaton],
         observer=None,
@@ -194,7 +177,6 @@ class System:
         fault_pattern: Optional[FaultPattern] = None,
         policy: Optional[SchedulerPolicy] = None,
         stop_when: Optional[Callable[[State], bool]] = None,
-        extra_injections: Iterable[Injection] = (),
         instrument=None,
         compiled: Optional[bool] = None,
     ) -> Execution:
@@ -204,15 +186,15 @@ class System:
         override the builder-attached observer/profiler for this run
         only — the seam the compiled engine uses, since a compiled
         system is built once (uninstrumented) and instrumented per run.
-        With neither, the run is entirely uninstrumented (unless the
-        attached fault plan has crash rules, whose controller rides the
-        observer slot).
+        With neither, the run is entirely uninstrumented.  Crash rules
+        of the attached fault plan wrap ``policy``
+        (:meth:`~repro.faults.adversary.CrashRuleController.wrap`).
         ``compiled`` routes the run through the compiled core
         (:mod:`repro.compiled`); ``None`` defers to the process default.
         """
-        injections: List[Injection] = list(extra_injections)
-        if fault_pattern is not None:
-            injections.extend(fault_pattern.injections())
+        injections = (
+            fault_pattern.injections() if fault_pattern is not None else ()
+        )
         run_profiler = self.profiler
         run_observer = self.observer
         if instrument is not None:
@@ -226,7 +208,6 @@ class System:
         self.crash_controller = None
         if self.fault_plan is not None and self.fault_plan.crash_rules:
             from repro.faults.adversary import CrashRuleController
-            from repro.obs.trace import MultiObserver
 
             controller = CrashRuleController(
                 self.fault_plan.crash_rules,
@@ -236,11 +217,6 @@ class System:
             )
             self.crash_controller = controller
             policy = controller.wrap(policy)
-            run_observer = (
-                controller
-                if run_observer is None
-                else MultiObserver(controller, run_observer)
-            )
         scheduler = Scheduler(
             policy,
             instrument=(run_observer, run_profiler),
@@ -283,8 +259,6 @@ class System:
 
     def crashed(self, state: State) -> frozenset:
         """Locations crashed so far in ``state``."""
-        if self.crash is None:
-            return frozenset()
         return self.composition.component_state(state, self.crash)
 
     # -- Trace accessors -----------------------------------------------------------

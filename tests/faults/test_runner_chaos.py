@@ -4,15 +4,18 @@ serial/parallel byte-determinism, and crash-rule integration.
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.algorithms.consensus_omega import omega_consensus_algorithm
+from repro.algorithms.consensus_perfect import perfect_consensus_algorithm
 from repro.analysis.checkers import run_consensus_experiment
 from repro.detectors.omega import Omega
-from repro.faults.plan import CrashRule, FaultPlan
+from repro.faults.plan import ChannelFaults, CrashRule, FaultPlan
 from repro.runner.batch import BatchRunner
 from repro.runner.seeds import derive_seed
-from repro.runner.spec import ExperimentSpec
+from repro.runner.spec import ExperimentSpec, run_spec
 from repro.runner.sweep import sweep
 from repro.system.fault_pattern import FaultPattern
 
@@ -213,3 +216,177 @@ def test_spec_run_with_chaos_plan_round_trips_through_engine():
         r2.steps,
         r2.messages_sent,
     )
+
+
+# -- Pinned crash-rule runs --------------------------------------------------
+
+#: Every trigger, with and without a target location and a delay.
+PINNED_RULES = {
+    "at-step": CrashRule("at-step", location=1, param=5),
+    "fd-output": CrashRule("on-first-fd-output"),
+    "fd-output+delay": CrashRule("on-first-fd-output", delay=3),
+    "fd-output@0": CrashRule("on-first-fd-output", location=0),
+    "fd-output@0+delay": CrashRule(
+        "on-first-fd-output", location=0, delay=3
+    ),
+    "decision": CrashRule("on-first-decision"),
+    "decision@2+delay": CrashRule("on-first-decision", location=2, delay=3),
+    "send-count@0": CrashRule("on-send-count", location=0, param=2),
+    "send-count@1+delay": CrashRule(
+        "on-send-count", location=1, param=3, delay=4
+    ),
+}
+
+CONSENSUS_ALGORITHMS = {
+    "omega": omega_consensus_algorithm,
+    "p": perfect_consensus_algorithm,
+}
+
+
+def crash_rule_spec(rule, detector, drop_p, policy, compiled=None):
+    """One instrumented consensus run under a single crash rule."""
+    return ExperimentSpec(
+        algorithm=CONSENSUS_ALGORITHMS[detector],
+        detector=detector,
+        locations=LOCS,
+        seed=3,
+        policy=policy,
+        max_steps=3000,
+        instrument=True,
+        compiled=compiled,
+        fault_plan=FaultPlan(
+            seed=5,
+            default=ChannelFaults(drop_p=drop_p),
+            crash_rules=(rule,),
+        ),
+    )
+
+
+def fired_pairs(result):
+    return tuple((step, loc) for step, loc, _rule in result.run.injected_crashes)
+
+
+def trace_digest(result):
+    return hashlib.sha256("\n".join(result.trace).encode()).hexdigest()[:16]
+
+
+#: (rule, detector, drop_p, policy) -> (the fired (step, location)
+#: pairs, the sha256 prefix of the canonical trace).  Both engines must
+#: reproduce each entry.  P with an unlocated fd-output rule is absent:
+#: its target is a suspect set, which the bugfix tests below reject.
+CRASH_RULE_PINS = {
+    ('at-step', 'omega', 0.0, 'round-robin'): (((5, 1),), '92fdd166d3e9cc25'),
+    ('at-step', 'omega', 0.0, 'random'): (((5, 1),), 'd6faf1d56936afc4'),
+    ('at-step', 'omega', 0.2, 'round-robin'): (((5, 1),), '92fdd166d3e9cc25'),
+    ('at-step', 'omega', 0.2, 'random'): (((5, 1),), 'd6faf1d56936afc4'),
+    ('at-step', 'p', 0.0, 'round-robin'): (((5, 1),), 'a04652482c27188f'),
+    ('at-step', 'p', 0.0, 'random'): (((5, 1),), 'c0bdf78bcedaf49c'),
+    ('at-step', 'p', 0.2, 'round-robin'): (((5, 1),), 'a04652482c27188f'),
+    ('at-step', 'p', 0.2, 'random'): (((5, 1),), 'c0bdf78bcedaf49c'),
+    ('fd-output', 'omega', 0.0, 'round-robin'): (((1, 0),), '250eb7d1aced6a81'),
+    ('fd-output', 'omega', 0.0, 'random'): (((1, 0),), 'bd6a17c340045a04'),
+    ('fd-output', 'omega', 0.2, 'round-robin'): (((1, 0),), '2efe64ddc1597772'),
+    ('fd-output', 'omega', 0.2, 'random'): (((1, 0),), 'b57d2a978ef61d8b'),
+    ('fd-output+delay', 'omega', 0.0, 'round-robin'): (((3, 0),), 'b9115f349c5de065'),
+    ('fd-output+delay', 'omega', 0.0, 'random'): (((3, 0),), 'c975493a3931a3b2'),
+    ('fd-output+delay', 'omega', 0.2, 'round-robin'): (((3, 0),), '0b395130fc570cf2'),
+    ('fd-output+delay', 'omega', 0.2, 'random'): (((3, 0),), '18c45f4b53245f96'),
+    ('fd-output@0', 'omega', 0.0, 'round-robin'): (((1, 0),), '250eb7d1aced6a81'),
+    ('fd-output@0', 'omega', 0.0, 'random'): (((1, 0),), 'bd6a17c340045a04'),
+    ('fd-output@0', 'omega', 0.2, 'round-robin'): (((1, 0),), '2efe64ddc1597772'),
+    ('fd-output@0', 'omega', 0.2, 'random'): (((1, 0),), 'b57d2a978ef61d8b'),
+    ('fd-output@0', 'p', 0.0, 'round-robin'): (((1, 0),), '8a21e22c50f4751c'),
+    ('fd-output@0', 'p', 0.0, 'random'): (((1, 0),), '9e96590493a8677d'),
+    ('fd-output@0', 'p', 0.2, 'round-robin'): (((1, 0),), '8a21e22c50f4751c'),
+    ('fd-output@0', 'p', 0.2, 'random'): (((1, 0),), '9e96590493a8677d'),
+    ('fd-output@0+delay', 'omega', 0.0, 'round-robin'): (((3, 0),), 'b9115f349c5de065'),
+    ('fd-output@0+delay', 'omega', 0.0, 'random'): (((3, 0),), 'c975493a3931a3b2'),
+    ('fd-output@0+delay', 'omega', 0.2, 'round-robin'): (((3, 0),), '0b395130fc570cf2'),
+    ('fd-output@0+delay', 'omega', 0.2, 'random'): (((3, 0),), '18c45f4b53245f96'),
+    ('fd-output@0+delay', 'p', 0.0, 'round-robin'): (((3, 0),), 'd3ca6c628f5db1c0'),
+    ('fd-output@0+delay', 'p', 0.0, 'random'): (((3, 0),), '1954201c7c603524'),
+    ('fd-output@0+delay', 'p', 0.2, 'round-robin'): (((3, 0),), 'd3ca6c628f5db1c0'),
+    ('fd-output@0+delay', 'p', 0.2, 'random'): (((3, 0),), '1954201c7c603524'),
+    ('decision', 'omega', 0.0, 'round-robin'): (((41, 1),), '968aaa1450415d15'),
+    ('decision', 'omega', 0.0, 'random'): (((48, 1),), 'fd574653c8a2b83e'),
+    ('decision', 'omega', 0.2, 'round-robin'): (((41, 1),), '968aaa1450415d15'),
+    ('decision', 'omega', 0.2, 'random'): (((48, 1),), 'fd574653c8a2b83e'),
+    ('decision', 'p', 0.0, 'round-robin'): (((47, 0),), '8b95a34728bc56c9'),
+    ('decision', 'p', 0.0, 'random'): (((49, 2),), '56294c4531b1913c'),
+    ('decision', 'p', 0.2, 'round-robin'): (((47, 0),), '8b95a34728bc56c9'),
+    ('decision', 'p', 0.2, 'random'): (((49, 2),), '56294c4531b1913c'),
+    ('decision@2+delay', 'omega', 0.0, 'round-robin'): (((43, 2),), '6b9c819443c7dcb7'),
+    ('decision@2+delay', 'omega', 0.0, 'random'): (((50, 2),), 'c9f7e9cf5e2cbd0d'),
+    ('decision@2+delay', 'omega', 0.2, 'round-robin'): (((43, 2),), '6b9c819443c7dcb7'),
+    ('decision@2+delay', 'omega', 0.2, 'random'): (((50, 2),), 'c9f7e9cf5e2cbd0d'),
+    ('decision@2+delay', 'p', 0.0, 'round-robin'): (((49, 2),), 'f7342fc168ff4e8c'),
+    ('decision@2+delay', 'p', 0.0, 'random'): (((51, 2),), '4797db2c21f1c3b7'),
+    ('decision@2+delay', 'p', 0.2, 'round-robin'): (((49, 2),), 'f7342fc168ff4e8c'),
+    ('decision@2+delay', 'p', 0.2, 'random'): (((51, 2),), '4797db2c21f1c3b7'),
+    ('send-count@0', 'omega', 0.0, 'round-robin'): (((12, 0),), '1c2e1c62110685de'),
+    ('send-count@0', 'omega', 0.0, 'random'): (((19, 0),), 'd274780973d5b0fe'),
+    ('send-count@0', 'omega', 0.2, 'round-robin'): (((12, 0),), '31c57a7845dad925'),
+    ('send-count@0', 'omega', 0.2, 'random'): (((19, 0),), '5054762717a07351'),
+    ('send-count@0', 'p', 0.0, 'round-robin'): (((12, 0),), '1858b0d1e12d5bad'),
+    ('send-count@0', 'p', 0.0, 'random'): (((19, 0),), '5e974d894cb0c025'),
+    ('send-count@0', 'p', 0.2, 'round-robin'): (((12, 0),), '1858b0d1e12d5bad'),
+    ('send-count@0', 'p', 0.2, 'random'): (((19, 0),), '5e974d894cb0c025'),
+    ('send-count@1+delay', 'omega', 0.0, 'round-robin'): ((), 'a5d2a0d63337dd04'),
+    ('send-count@1+delay', 'omega', 0.0, 'random'): ((), 'e9b6bba3414d7d8a'),
+    ('send-count@1+delay', 'omega', 0.2, 'round-robin'): ((), 'a5d2a0d63337dd04'),
+    ('send-count@1+delay', 'omega', 0.2, 'random'): ((), 'e9b6bba3414d7d8a'),
+    ('send-count@1+delay', 'p', 0.0, 'round-robin'): ((), '1d4a443bb969c1e9'),
+    ('send-count@1+delay', 'p', 0.0, 'random'): ((), '9ea5d5d350c07111'),
+    ('send-count@1+delay', 'p', 0.2, 'round-robin'): ((), '1d4a443bb969c1e9'),
+    ('send-count@1+delay', 'p', 0.2, 'random'): ((), '9ea5d5d350c07111'),
+}
+
+
+@pytest.mark.parametrize(
+    "compiled", [False, True], ids=["interpreted", "compiled"]
+)
+@pytest.mark.parametrize(
+    "case",
+    list(CRASH_RULE_PINS),
+    ids=["-".join(map(str, case)) for case in CRASH_RULE_PINS],
+)
+def test_crash_rule_run_is_pinned(case, compiled):
+    rule_id, detector, drop_p, policy = case
+    spec = crash_rule_spec(
+        PINNED_RULES[rule_id], detector, drop_p, policy, compiled
+    )
+    result = run_spec(spec, keep=True)
+    assert (fired_pairs(result), trace_digest(result)) == CRASH_RULE_PINS[case]
+
+
+# -- A crash rule may only crash a location of the system ---------------------
+
+
+@pytest.mark.parametrize(
+    "compiled", [False, True], ids=["interpreted", "compiled"]
+)
+def test_unlocated_fd_output_rule_rejects_a_suspect_set_target(compiled):
+    # P's fd output carries a suspect set, so the payload head is no
+    # location: the rule must not put crash(()) into the execution.
+    rule = CrashRule("on-first-fd-output")
+    spec = crash_rule_spec(rule, "p", 0.0, "round-robin", compiled)
+    with pytest.raises(ValueError, match=r"on-first-fd-output.*\(\)"):
+        run_spec(spec)
+
+
+@pytest.mark.parametrize(
+    "compiled", [False, True], ids=["interpreted", "compiled"]
+)
+def test_at_step_rule_rejects_an_unknown_location(compiled):
+    rule = CrashRule("at-step", location=7, param=3)
+    spec = crash_rule_spec(rule, "omega", 0.0, "round-robin", compiled)
+    with pytest.raises(ValueError, match=r"at-step.* 7\b"):
+        run_spec(spec)
+
+
+def test_located_fd_output_rule_crashes_its_location_under_p():
+    rule = CrashRule("on-first-fd-output", location=0)
+    spec = crash_rule_spec(rule, "p", 0.0, "round-robin")
+    result = run_spec(spec, keep=True)
+    assert fired_pairs(result) == ((1, 0),)
+    assert result.fd_ok
