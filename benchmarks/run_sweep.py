@@ -36,7 +36,9 @@ to profile on a hit), so the two flags together bypass the cache reads.
 The summary line ``sweep-cache: hits=H misses=M kernels_executed=M``
 is machine-checkable (CI job ``cache-smoke``).
 
-Exit status is the number of failed benchmarks (0 on full success).
+Exit status is the number of failed benchmarks (0 on full success).  An
+unknown argument (``--help`` included) prints the usage line and exits 2
+before any benchmark runs or any artifact is written.
 """
 
 from __future__ import annotations
@@ -131,25 +133,30 @@ def _bench_cache_identity(bench_id, quick, compiled):
     }
 
 
+USAGE = (
+    "usage: python benchmarks/run_sweep.py [--quick] [--only e10,a05] "
+    "[--jobs N] [--profile] [--compiled] [--cache DIR]"
+)
+
+
 def main(argv=None) -> int:
     args = list(sys.argv[1:] if argv is None else argv)
     try:
         jobs = pop_jobs(args) or 1
         cache_dir = pop_option(args, "--cache")
+        only_value = pop_option(args, "--only")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     quick = "--quick" in args
     profile = "--profile" in args
     compiled = "--compiled" in args
+    if any(a not in ("--quick", "--profile", "--compiled") for a in args):
+        print(USAGE, file=sys.stderr)
+        return 2
     only = None
-    for arg in args:
-        if arg.startswith("--only"):
-            value = arg.split("=", 1)[1] if "=" in arg else ""
-            if not value:
-                idx = args.index(arg)
-                value = args[idx + 1] if idx + 1 < len(args) else ""
-            only = {b.strip().lower() for b in value.split(",") if b.strip()}
+    if only_value is not None:
+        only = {b.strip().lower() for b in only_value.split(",") if b.strip()}
 
     specs = discover()
     if only is not None:

@@ -82,6 +82,7 @@ class BoostCompletenessProcess(ProcessAutomaton):
             lambda a: self.source.is_output(a)
             and a.location == self.location,
             f"O_{self.source.name} at {self.location}",
+            keys=((self.source.output_name, self.location),),
         )
 
     def core_outputs(self) -> ActionSet:
@@ -89,12 +90,14 @@ class BoostCompletenessProcess(ProcessAutomaton):
             lambda a: self.target.is_output(a)
             and a.location == self.location,
             f"O_{self.target.name} at {self.location}",
+            keys=((self.target.output_name, self.location),),
         )
 
     def core_internals(self) -> ActionSet:
         return PredicateActionSet(
             lambda a: a.name == RELOAD and a.location == self.location,
             f"{RELOAD}_{self.location}",
+            keys=((RELOAD, self.location),),
         )
 
     # -- Transitions -----------------------------------------------------------

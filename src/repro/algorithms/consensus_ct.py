@@ -113,6 +113,10 @@ class CtConsensusProcess(ProcessAutomaton):
             lambda a: a.location == self.location
             and a.name in (PROPOSE, self.fd_output_name),
             f"propose/fd at {self.location}",
+            keys=(
+                (PROPOSE, self.location),
+                (self.fd_output_name, self.location),
+            ),
         )
 
     def core_outputs(self) -> ActionSet:
@@ -125,6 +129,7 @@ class CtConsensusProcess(ProcessAutomaton):
             lambda a: a.name in (ADVANCE, COORD_PROPOSE)
             and a.location == self.location,
             f"ct internals at {self.location}",
+            keys=((ADVANCE, self.location), (COORD_PROPOSE, self.location)),
         )
 
     # -- Round plumbing ---------------------------------------------------------

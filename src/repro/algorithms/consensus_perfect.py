@@ -87,6 +87,10 @@ class PerfectConsensusProcess(ProcessAutomaton):
             lambda a: a.location == self.location
             and a.name in (PROPOSE, self.fd_output_name),
             f"propose/fd at {self.location}",
+            keys=(
+                (PROPOSE, self.location),
+                (self.fd_output_name, self.location),
+            ),
         )
 
     def core_outputs(self) -> ActionSet:
@@ -209,6 +213,7 @@ class PerfectConsensusProcess(ProcessAutomaton):
         return PredicateActionSet(
             lambda a: a.name == "advance" and a.location == self.location,
             f"advance_{self.location}",
+            keys=(("advance", self.location),),
         )
 
     # -- Introspection -------------------------------------------------------------

@@ -45,6 +45,7 @@ class LeaderElectionDriver(ProcessAutomaton):
         return PredicateActionSet(
             lambda a: a.name == DECIDE and a.location == self.location,
             f"decide at {self.location}",
+            keys=((DECIDE, self.location),),
         )
 
     def core_outputs(self) -> ActionSet:

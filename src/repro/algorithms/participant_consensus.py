@@ -59,6 +59,7 @@ class ConsensusFromParticipantProcess(ProcessAutomaton):
             lambda a: a.location == self.location
             and a.name in (PROPOSE, RESPONSE),
             f"propose/fd-response at {self.location}",
+            keys=((PROPOSE, self.location), (RESPONSE, self.location)),
         )
 
     def core_outputs(self) -> ActionSet:
@@ -176,6 +177,7 @@ class ParticipantFromConsensusProcess(ProcessAutomaton):
             lambda a: a.location == self.location
             and a.name in (QUERY, DECIDE),
             f"query/decide at {self.location}",
+            keys=((QUERY, self.location), (DECIDE, self.location)),
         )
 
     def core_outputs(self) -> ActionSet:

@@ -60,6 +60,7 @@ class TransformRelayProcess(ProcessAutomaton):
                 self.source.is_output(a) and a.location == self.location
             ),
             f"O_{self.source.name} at {self.location}",
+            keys=((self.source.output_name, self.location),),
         )
 
     def core_outputs(self) -> ActionSet:
@@ -68,6 +69,7 @@ class TransformRelayProcess(ProcessAutomaton):
                 self.target.is_output(a) and a.location == self.location
             ),
             f"O_{self.target.name} at {self.location}",
+            keys=((self.target.output_name, self.location),),
         )
 
     # -- Transitions -----------------------------------------------------------

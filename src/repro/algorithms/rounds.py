@@ -31,7 +31,7 @@ from typing import (
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import State
-from repro.ioa.signature import ActionSet, PredicateActionSet
+from repro.ioa.signature import ActionSet, PredicateActionSet, union_keys
 from repro.detectors.perfect import PERFECT_OUTPUT
 from repro.system.process import ProcessAutomaton
 
@@ -150,6 +150,9 @@ class SynchronousRoundProcess(ProcessAutomaton):
             )
             or a in extra,
             f"fd/extra inputs at {self.location}",
+            keys=union_keys(
+                (frozenset({(self.fd_output_name, self.location)}), extra.keys())
+            ),
         )
 
     def core_internals(self) -> ActionSet:
@@ -161,6 +164,7 @@ class SynchronousRoundProcess(ProcessAutomaton):
                 and a.payload[0] == self.message_tag
             ),
             f"round engine internals at {self.location}",
+            keys=((START, self.location), (ADVANCE, self.location)),
         )
 
     # ------------------------------------------------------------------

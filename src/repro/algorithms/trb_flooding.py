@@ -81,12 +81,14 @@ class TrbFloodingProcess(SynchronousRoundProcess):
                 and len(a.payload) == 1
             ),
             f"bcast at {self.sender}",
+            keys=((BCAST, self.sender),),
         )
 
     def core_outputs(self) -> ActionSet:
         return PredicateActionSet(
             lambda a: a.name == DELIVER and a.location == self.location,
             f"deliver at {self.location}",
+            keys=((DELIVER, self.location),),
         )
 
     def on_input(self, app: TrbApp, action: Action) -> TrbApp:

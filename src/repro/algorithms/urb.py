@@ -66,12 +66,14 @@ class UrbProcess(ProcessAutomaton):
         return PredicateActionSet(
             lambda a: a.name == URB_BCAST and a.location == self.location,
             f"urb-bcast at {self.location}",
+            keys=((URB_BCAST, self.location),),
         )
 
     def core_outputs(self) -> ActionSet:
         return PredicateActionSet(
             lambda a: a.name == URB_DELIVER and a.location == self.location,
             f"urb-deliver at {self.location}",
+            keys=((URB_DELIVER, self.location),),
         )
 
     # -- Transitions -----------------------------------------------------------

@@ -31,7 +31,7 @@ membership; the hypothesis-based test suite drives it across the zoo.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, FrozenSet, List, Sequence, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton
@@ -41,11 +41,11 @@ from repro.core.reordering import random_constrained_reordering
 from repro.core.sampling import random_sampling
 from repro.core.validity import (
     CheckResult,
+    check_live_output_liveness,
     check_no_outputs_after_crash,
-    is_valid_finite,
     live_locations,
 )
-from repro.system.fault_pattern import is_crash
+from repro.system.fault_pattern import CRASH, is_crash
 
 
 def eventually_forever(
@@ -63,16 +63,22 @@ def eventually_forever(
     ``min_tail_outputs`` outputs (a nontrivial witness that the run had
     stabilized — the default of 3 keeps a single trailing conforming
     output from counting as 'stabilization').  Crash events never violate.
+
+    One pass: each location's output count restarts at every violation,
+    so at the end it counts the outputs after the last one.
     """
     last_violation = -1
+    tail_counts: Dict[Optional[int], int] = {}
     for k, a in enumerate(t):
-        if not is_crash(a) and not event_ok(a):
+        if is_crash(a):
+            continue
+        if event_ok(a):
+            tail_counts[a.location] = tail_counts.get(a.location, 0) + 1
+        else:
             last_violation = k
-    tail = t[last_violation + 1 :]
+            tail_counts.clear()
     for i in live:
-        count = sum(
-            1 for a in tail if not is_crash(a) and a.location == i
-        )
+        count = tail_counts.get(i, 0)
         if count < min_tail_outputs:
             return CheckResult.failure(
                 f"{description}: live location {i} has only {count} outputs "
@@ -123,11 +129,24 @@ class AFD(ABC):
 
     def output_actions(self) -> ActionSet:
         """O_D as an action set (for signatures and projections)."""
-        return PredicateActionSet(self.is_output, f"O_{self.name}")
+        return PredicateActionSet(
+            self.is_output,
+            f"O_{self.name}",
+            keys=((self.output_name, i) for i in self.locations),
+        )
 
     def event_actions(self) -> ActionSet:
-        """I-hat ∪ O_D as an action set."""
-        return PredicateActionSet(self.is_event, f"events({self.name})")
+        """I-hat ∪ O_D as an action set, with I-hat the crash events at
+        the locations of Pi (:meth:`is_event` takes a crash anywhere)."""
+        return PredicateActionSet(
+            lambda a: self.is_event(a) and a.location in self.locations,
+            f"events({self.name})",
+            keys=(
+                (name, i)
+                for i in self.locations
+                for name in (CRASH, self.output_name)
+            ),
+        )
 
     def project_events(self, t: Sequence[Action]) -> List[Action]:
         """``t | (I-hat ∪ O_D)``."""
@@ -200,12 +219,13 @@ class AFD(ABC):
         """Treat the finite t as a completed fair run and check membership:
         safety exactly, validity's liveness half and the detector's
         eventual conditions via their finite approximations (DESIGN.md,
-        substitution table)."""
+        substitution table).  Validity's safety half is part of
+        :meth:`check_safety`, so only the liveness half runs after it."""
         result = self.check_safety(t)
         if not result:
             return result
         result = result.merge(
-            is_valid_finite(t, self.locations, min_live_outputs)
+            check_live_output_liveness(t, self.locations, min_live_outputs)
         )
         if not result:
             return result

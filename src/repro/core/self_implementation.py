@@ -50,9 +50,11 @@ class SelfImplementationProcess(ProcessAutomaton):
         return PredicateActionSet(
             lambda a: self.afd.is_output(a) and a.location == self.location,
             f"O_D at {self.location}",
+            keys=((self.afd.output_name, self.location),),
         )
 
     def core_outputs(self) -> ActionSet:
+        # Keys undeclared: the names are the renaming's, not the AFD's.
         return PredicateActionSet(
             lambda a: (
                 self.renaming.covers_renamed(a)

@@ -22,7 +22,7 @@ validity checks share it without an import cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.system.fault_pattern import is_crash
@@ -98,11 +98,20 @@ def check_live_output_liveness(
     """Validity condition (2), finite approximation.
 
     Every location without a crash event must have at least
-    ``min_live_outputs`` output events in t.
+    ``min_live_outputs`` output events in t.  One pass collects the crashed
+    locations and every location's output count; the live locations are
+    then visited in :func:`live_locations`' order.
     """
+    crashed: set = set()
+    counts: Dict[Optional[int], int] = {}
+    for a in t:
+        if is_crash(a):
+            crashed.add(a.location)
+        else:
+            counts[a.location] = counts.get(a.location, 0) + 1
     report = CheckResult.success()
-    for i in live_locations(t, locations):
-        count = len(outputs_at(t, i))
+    for i in frozenset(locations) - frozenset(crashed):
+        count = counts.get(i, 0)
         if count < min_live_outputs:
             report = report.merge(
                 CheckResult.failure(

@@ -66,6 +66,7 @@ class CrashsetDetectorAutomaton(Automaton):
                     a.name == output_name and a.location in self.locations
                 ),
                 f"{output_name}(*)_i",
+                keys=((output_name, i) for i in self.locations),
             ),
         )
 
@@ -133,6 +134,7 @@ class RenamedDetectorAutomaton(Automaton):
         base_sig = base.signature
         self._signature = Signature(
             inputs=base_sig.inputs,
+            # Keys undeclared: the names are the renaming's, not the base's.
             outputs=PredicateActionSet(
                 lambda a: (
                     renaming.covers_renamed(a)

@@ -59,6 +59,7 @@ class ParticipantDetectorAutomaton(Automaton):
                     a.name == RESPONSE and a.location in self.locations
                 ),
                 "fd-response(*)_i",
+                keys=((RESPONSE, i) for i in self.locations),
             ),
         )
 

@@ -12,9 +12,13 @@ Compatibility requirements (Lynch [21, Chapter 8]):
 * internal actions of a component are not actions of any other component.
 
 Because signatures here are predicate-based (and hence possibly infinite),
-the constructor checks compatibility on enumerable parts of the signatures
-and the remaining checks happen lazily: the first step performed on each
-distinct action verifies that it has at most one output owner.
+the constructor checks both requirements for the actions of finite output
+and internal sets only.  The first requirement is also checked lazily, for
+every action: the first dispatch of each distinct action verifies that at
+most one component controls it (as an output or internal action) and
+raises :class:`CompositionError` naming the owners otherwise.  An internal
+action of a predicate set that another component also has is caught only
+if the action is an output or internal of that other component too.
 
 Hot-path design (the simulation engine's inner loop)
 ----------------------------------------------------
@@ -28,6 +32,17 @@ the component's state piece alone — so the composition memoizes them:
   participant index tuple are computed once by the predicate scan and
   remembered (the scan stays the fallback for the first sighting of each
   action, so infinite predicate signatures keep working);
+* **key index**: the scan probes only the components that can hold the
+  action.  Every action is named and located, and each signature set
+  declares a superset of its members' ``(name, location)`` pairs
+  (:meth:`~repro.ioa.signature.ActionSet.keys`), so the constructor maps
+  each declared key to the sorted indices of the components declaring it
+  plus every component with an undeclared (``None``) set.  An action
+  whose key no component declares probes the undeclared components
+  alone.  Candidates keep component order, so owners, participant
+  tuples and error messages equal the full scan's; the constructor's
+  compatibility check probes the same candidates.  Built while caching
+  is off, a composition has no index and probes every component;
 * **per-component enabled cache**: per ``(component, component state)``,
   the component's enabled actions grouped by namespaced task.  Keying on
   the state piece *is* the invalidation rule: a fired action replaces the
@@ -57,8 +72,9 @@ Correctness rests on the module contract that states are immutable and
 (:mod:`repro.ioa.automaton`); ``tests/properties`` cross-checks the cache
 against brute-force re-enumeration on randomized compositions.  Caching
 has one toggle, the process-wide :func:`set_enabled_cache_default`; a
-composition built while it is off takes the original predicate scan,
-which CI uses as the semantics oracle.
+composition built while it is off takes the original predicate scan over
+every component, with no key index, which CI uses as the semantics
+oracle: an unsound key declaration shows there as a series difference.
 
 Every memo probe tallies into the process-global cache telemetry
 (``composition.dispatch`` / ``composition.task`` / ``composition.enabled``
@@ -69,14 +85,16 @@ report as hit rates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.signature import (
     ActionSet,
+    Key,
     Signature,
     UnionActionSet,
+    union_keys,
 )
 from repro.obs.prof import cache_counter
 
@@ -106,6 +124,32 @@ def set_enabled_cache_default(enabled: bool) -> bool:
     return previous
 
 
+def _key_index(
+    components: Sequence[Automaton],
+) -> Tuple[Dict[Key, Tuple[int, ...]], Tuple[int, ...]]:
+    """The key index of a composition: each declared key maps to the
+    components declaring it merged with the undeclared ones, in component
+    order; the second item lists the undeclared ones alone."""
+    declared: Dict[Key, List[int]] = {}
+    undeclared: List[int] = []
+    for k, c in enumerate(components):
+        signature = c.signature
+        keys = union_keys(
+            part.keys()
+            for part in (signature.inputs, signature.outputs, signature.internals)
+        )
+        if keys is None:
+            undeclared.append(k)
+            continue
+        for key in keys:
+            declared.setdefault(key, []).append(k)
+    by_key = {
+        key: tuple(sorted(holders + undeclared))
+        for key, holders in declared.items()
+    }
+    return by_key, tuple(undeclared)
+
+
 class _CompositionInputs(ActionSet):
     """Inputs of a composition: inputs of some component, output of none."""
 
@@ -116,6 +160,9 @@ class _CompositionInputs(ActionSet):
         if any(action in c.signature.outputs for c in self._components):
             return False
         return any(action in c.signature.inputs for c in self._components)
+
+    def keys(self) -> Optional[FrozenSet[Key]]:
+        return union_keys(c.signature.inputs.keys() for c in self._components)
 
     def __repr__(self) -> str:
         return f"CompositionInputs({[c.name for c in self._components]})"
@@ -150,6 +197,17 @@ class Composition(Automaton):
         super().__init__(name or "||".join(names))
         self.components: Tuple[Automaton, ...] = components
         self._index: Dict[str, int] = {c.name: k for k, c in enumerate(components)}
+        self._use_cache: bool = _cache_default
+        #: (name, location) -> the indices of the components that can hold
+        #: an action with that key, in component order; keys absent here
+        #: go to ``_unindexed`` (see the module docstring).
+        self._candidates_by_key: Dict[Key, Tuple[int, ...]]
+        self._unindexed: Tuple[int, ...]
+        if self._use_cache:
+            self._candidates_by_key, self._unindexed = _key_index(components)
+        else:
+            self._candidates_by_key = {}
+            self._unindexed = tuple(range(len(components)))
         self._check_enumerable_compatibility()
         self._signature = Signature(
             inputs=_CompositionInputs(components),
@@ -162,7 +220,6 @@ class Composition(Automaton):
         # Hot-path memos (see the module docstring).  All three are pure
         # caches: dispatch of an action and enabledness of a state piece
         # never change, so no invalidation is needed.
-        self._use_cache: bool = _cache_default
         #: action -> (owner index or None, participant index tuple)
         self._dispatch_memo: Dict[Action, Tuple[Optional[int], Tuple[int, ...]]] = {}
         #: action -> namespaced task name or None
@@ -204,29 +261,38 @@ class Composition(Automaton):
             raise KeyError(f"unknown composition task {task!r}")
         return self.components[self._index[comp_name]], local
 
+    def _candidates(self, action: Action) -> Tuple[int, ...]:
+        """Indices of the components that can have ``action`` in their
+        signature, in component order (all of them in brute-force mode)."""
+        return self._candidates_by_key.get(
+            (action.name, action.location), self._unindexed
+        )
+
     def _check_enumerable_compatibility(self) -> None:
         """Best-effort static compatibility checks on finite signatures."""
-        for k, c in enumerate(self.components):
+        components = self.components
+        for c in components:
             outs = c.signature.outputs
             if not outs.is_finite():
                 continue
             for action in outs.enumerate():
                 owners = [
-                    d.name
-                    for d in self.components
-                    if action in d.signature.outputs
+                    components[j].name
+                    for j in self._candidates(action)
+                    if action in components[j].signature.outputs
                 ]
                 if len(owners) > 1:
                     raise CompositionError(
                         f"action {action} is an output of several "
                         f"components: {owners}"
                     )
-        for c in self.components:
+        for c in components:
             ints = c.signature.internals
             if not ints.is_finite():
                 continue
             for action in ints.enumerate():
-                for d in self.components:
+                for j in self._candidates(action):
+                    d = components[j]
                     if d is not c and action in d.signature:
                         raise CompositionError(
                             f"internal action {action} of {c.name} is also "
@@ -256,8 +322,9 @@ class Composition(Automaton):
     def _dispatch(self, action: Action) -> Tuple[Optional[int], Tuple[int, ...]]:
         """``(owner index or None, participant indices)`` for ``action``.
 
-        The first sighting of each action runs the predicate scan (and
-        performs the lazy one-output-owner compatibility check, raising
+        The first sighting of each action runs the predicate scan over
+        the action's candidate components (and performs the lazy
+        one-output-owner compatibility check, raising
         :class:`CompositionError` on ambiguity); subsequent sightings are
         one dictionary lookup.  Only successful dispatches are memoized,
         so an ambiguous action raises on every use.
@@ -271,8 +338,9 @@ class Composition(Automaton):
         # component an owner and a participant, an input a participant.
         owners: List[int] = []
         participants: List[int] = []
-        for k, c in enumerate(self.components):
-            signature = c.signature
+        components = self.components
+        for k in self._candidates(action):
+            signature = components[k].signature
             if action in signature.outputs or action in signature.internals:
                 owners.append(k)
                 participants.append(k)

@@ -17,6 +17,8 @@ from repro.ioa.signature import ActionSet, PredicateActionSet, Signature
 class _Difference(ActionSet):
     """Set difference of two action sets."""
 
+    # Keys undeclared: no program code hides actions, so no index needs them.
+
     def __init__(self, base: ActionSet, removed: ActionSet):
         self._base = base
         self._removed = removed
@@ -30,6 +32,8 @@ class _Difference(ActionSet):
 
 class _Intersection(ActionSet):
     """Intersection of two action sets."""
+
+    # Keys undeclared: no program code hides actions, so no index needs them.
 
     def __init__(self, left: ActionSet, right: ActionSet):
         self._left = left
@@ -94,6 +98,8 @@ class Hidden(Automaton):
 
 def hide(automaton: Automaton, hidden) -> Hidden:
     """Hide ``hidden`` (an ActionSet, iterable of actions, or predicate)."""
+    # Keys undeclared: the set only filters the base's outputs, and the
+    # difference and intersection built from it declare none.
     if isinstance(hidden, ActionSet):
         action_set = hidden
     elif callable(hidden):

@@ -50,6 +50,7 @@ class ChannelAutomaton(Automaton):
                     and a.payload[1] == destination
                 ),
                 f"send(*, {destination})_{source}",
+                keys=((SEND, source),),
             ),
             outputs=PredicateActionSet(
                 lambda a: (
@@ -59,6 +60,7 @@ class ChannelAutomaton(Automaton):
                     and a.payload[1] == source
                 ),
                 f"receive(*, {source})_{destination}",
+                keys=((RECEIVE, destination),),
             ),
         )
 

@@ -65,6 +65,7 @@ class ProcessAutomaton(Automaton):
                 PredicateActionSet(
                     lambda a: a.name == RECEIVE and a.location == location,
                     f"receive(*,*)_{location}",
+                    keys=((RECEIVE, location),),
                 )
             )
             output_parts.append(
@@ -75,6 +76,7 @@ class ProcessAutomaton(Automaton):
                         and self.owns_message(a.payload[0])
                     ),
                     f"send(*,*)_{location}",
+                    keys=((SEND, location),),
                 )
             )
         input_parts.append(self.core_inputs())

@@ -148,6 +148,7 @@ class TimedDetectorAutomaton(Automaton):
             inputs=FiniteActionSet(
                 tuple(crash_action(i) for i in self.locations)
             ),
+            # Keys undeclared: a timed automaton runs flat, in no Composition.
             outputs=PredicateActionSet(
                 lambda a: a.name == output_name and a.location in in_locations,
                 f"{output_name}(*)_i",

@@ -80,6 +80,26 @@ class TestEventuallyForever:
         ]
         assert eventually_forever(stable, frozenset({0, 1}), ok)
 
+    def test_failure_names_the_first_short_live_location(self):
+        # After the last violation (index 4) both live locations fall
+        # short; the reason names the first of them in ``live``'s order.
+        t = [
+            omega_output(0, 9),
+            omega_output(1, 1),
+            crash_action(2),
+            omega_output(0, 1),
+            omega_output(1, 9),
+            omega_output(0, 1),
+        ]
+        ok = lambda a: a.payload[0] == 1
+        result = eventually_forever(
+            t, frozenset({0, 1}), ok, min_tail_outputs=2, description="Omega"
+        )
+        assert result.reasons == [
+            "Omega: live location 0 has only 1 outputs after the last "
+            "violating event (index 4); needed >= 2"
+        ]
+
 
 class TestAFDVocabulary:
     def test_is_output(self):
@@ -102,6 +122,16 @@ class TestAFDVocabulary:
             crash_action(1),
         ]
 
+    def test_action_sets_declare_their_keys(self):
+        omega = Omega(LOCS)
+        outputs, events = omega.output_actions(), omega.event_actions()
+        assert outputs.keys() == {("fd-omega", i) for i in LOCS}
+        assert events.keys() == outputs.keys() | {("crash", i) for i in LOCS}
+        assert omega_output(1, 2) in outputs and omega_output(1, 2) in events
+        assert crash_action(2) in events and crash_action(2) not in outputs
+        # I-hat holds the crash events of Pi only.
+        assert crash_action(9) not in events
+
 
 class TestSafetyChecks:
     def test_malformed_output_rejected(self):
@@ -122,6 +152,23 @@ class TestSafetyChecks:
             [crash_action(0), omega_output(0, 1)]
         )
         assert not result
+
+
+class TestCheckLimit:
+    def test_liveness_failure_lists_every_silent_live_location(self):
+        # Safety holds, so check_limit reports validity's liveness half:
+        # one reason per silent live location, in live-set order.
+        result = Omega(LOCS).check_limit([omega_output(0, 0)])
+        assert result.reasons == [
+            "live location 1 has only 0 output events (needed >= 1)",
+            "live location 2 has only 0 output events (needed >= 1)",
+        ]
+
+    def test_output_after_crash_fails_before_liveness(self):
+        result = Omega(LOCS).check_limit([crash_action(0), omega_output(0, 1)])
+        assert result.reasons == [
+            "event fd-omega(1)_0 at index 1 occurs after crash_0"
+        ]
 
 
 class TestRenamedAFD:

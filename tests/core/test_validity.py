@@ -81,6 +81,17 @@ class TestValidityCondition2:
         t = [crash_action(2), omega_output(0, 0), omega_output(1, 0)]
         assert is_valid_finite(t, LOCS, min_live_outputs=1)
 
+    def test_reasons_name_both_conditions_in_order(self):
+        # Condition (1) fails at index 2; condition (2) then names each
+        # short live location, in live-set order.
+        t = [omega_output(0, 0), crash_action(2), omega_output(2, 0)]
+        report = is_valid_finite(t, LOCS, min_live_outputs=2)
+        assert report.reasons == [
+            "event fd-omega(0)_2 at index 2 occurs after crash_2",
+            "live location 0 has only 1 output events (needed >= 2)",
+            "live location 1 has only 0 output events (needed >= 2)",
+        ]
+
 
 class TestHelpers:
     def test_stabilized_suffix(self):

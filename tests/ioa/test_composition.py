@@ -380,9 +380,9 @@ class TestDispatchClassification:
         assert c.apply(s0, self.POKE) == (1, 1, 0)
 
     def test_predicate_owned_by_two_components_raises_naming_both(self):
-        def claimer(name, kind):
+        def claimer(name, kind, keys):
             claims = PredicateActionSet(
-                lambda a: a.name == "shared", "shared claimer"
+                lambda a: a.name == "shared", "shared claimer", keys=keys
             )
             return FunctionalAutomaton(
                 name=name,
@@ -393,27 +393,39 @@ class TestDispatchClassification:
             )
 
         shared = Action("shared", 0)
-        # Predicate signatures escape the constructor's enumerable check.
-        c = Composition(
-            [claimer("left", "outputs"), claimer("right", "internals")]
-        )
         message = re.escape(
             f"action {shared} is locally controlled by several "
             "components: ['left', 'right']"
         )
-        uses = (
-            lambda: c.apply((0, 0), shared),
-            lambda: c.owner_of(shared),
-            lambda: c.participants(shared),
-            lambda: c.task_of(shared),
-            lambda: c.enabled((0, 0), shared),
-        )
-        for _ in range(2):
-            for use in uses:
-                with pytest.raises(CompositionError, match=message):
-                    use()
-        assert shared not in c._dispatch_memo
-        assert shared not in c._task_memo
+        declared = [("shared", 0)]
+        # Both owners undeclared, both declared, then one of each: the
+        # key index finds both owners, in component order, every time.
+        for left_keys, right_keys in (
+            (None, None),
+            (declared, declared),
+            (declared, None),
+            (None, declared),
+        ):
+            # Predicate signatures escape the constructor's enumerable check.
+            c = Composition(
+                [
+                    claimer("left", "outputs", left_keys),
+                    claimer("right", "internals", right_keys),
+                ]
+            )
+            uses = (
+                lambda: c.apply((0, 0), shared),
+                lambda: c.owner_of(shared),
+                lambda: c.participants(shared),
+                lambda: c.task_of(shared),
+                lambda: c.enabled((0, 0), shared),
+            )
+            for _ in range(2):
+                for use in uses:
+                    with pytest.raises(CompositionError, match=message):
+                        use()
+            assert shared not in c._dispatch_memo
+            assert shared not in c._task_memo
 
 
 class TestProjection:

@@ -50,3 +50,34 @@ def test_profile_runs_the_kernel_serially(recording_bench, tmp_path, argv):
         "BENCH_Z99.json",
         "PROFILE_Z99.json",
     ]
+
+
+@pytest.fixture
+def run_sweep(monkeypatch, tmp_path):
+    """benchmarks/run_sweep.py loaded as a module, its artifacts pointed
+    at ``tmp_path`` and its benchmark discovery made to fail the test;
+    the ``sys.path`` entry the script adds is undone afterwards."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(
+        "run_sweep", _PATH.parent / "run_sweep.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(sys.modules["_helpers"], "_REPO_ROOT", tmp_path)
+
+    def discover():
+        pytest.fail("the sweep ran benchmarks on a usage error")
+
+    monkeypatch.setattr(module, "discover", discover)
+    return module
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--bogus"], ["--quick", "--qiuck"]])
+def test_sweep_rejects_unknown_arguments_and_writes_nothing(
+    run_sweep, tmp_path, capsys, argv
+):
+    # A sweep rewrites every tracked BENCH_*.json artifact, so a usage
+    # error must stop before any benchmark is discovered.
+    assert run_sweep.main(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    assert capsys.readouterr().err.startswith("usage: ")
