@@ -139,13 +139,6 @@ class UrbProcess(ProcessAutomaton):
             yield urb_deliver_action(self.location, message, source)
             return  # one at a time: single-task determinism
 
-    # -- Introspection -------------------------------------------------------------
-
-    @staticmethod
-    def delivered_keys(state) -> FrozenSet[Key]:
-        _failed, core = state
-        return core.delivered
-
 
 def urb_algorithm(locations: Sequence[int]) -> DistributedAlgorithm:
     """The majority-echo URB algorithm over ``locations``."""

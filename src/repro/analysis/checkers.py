@@ -64,7 +64,6 @@ def run_consensus_experiment(
     policy: Optional[SchedulerPolicy] = None,
     decision_fn: Optional[Callable] = None,
     min_live_outputs: int = 1,
-    instrument=None,
     fault_plan=None,
     compiled: Optional[bool] = None,
 ) -> ConsensusRunResult:
@@ -86,13 +85,9 @@ def run_consensus_experiment(
     ``decision_fn`` extracts a decision from a process state; defaults to
     the ``decision`` staticmethod of the algorithm's process class.
 
-    ``instrument`` is the unified instrumentation hook
-    (:mod:`repro.obs.instrument`): its observer half (a
-    :class:`repro.obs.trace.Observer`) sees the run's scheduler events —
-    a :class:`~repro.obs.trace.TraceRecorder` also gets the run wrapped
-    in a ``"consensus-run"`` span and the two checker verdicts recorded
-    as ``checker`` events; its profiler half books the run's step
-    phases.  Default None: uninstrumented.
+    The returned ``result.execution`` is the whole record of the run;
+    for its canonical trace or a profile, run the spec itself with
+    ``ExperimentSpec(instrument=True)`` or ``profile=True``.
 
     ``fault_plan`` injects the channel faults and adversarial crash
     rules of a :class:`~repro.faults.plan.FaultPlan`
@@ -121,11 +116,5 @@ def run_consensus_experiment(
         fault_plan=fault_plan,
         compiled=compiled,
     )
-    result = run_spec(
-        spec,
-        policy=policy,
-        decision_fn=decision_fn,
-        instrument=instrument,
-        keep=True,
-    )
+    result = run_spec(spec, policy=policy, decision_fn=decision_fn, keep=True)
     return result.run

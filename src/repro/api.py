@@ -148,7 +148,6 @@ from repro.obs.compare import (
     compare_series,
     first_divergence,
 )
-from repro.obs.instrument import Instrumentation, coerce_instrument
 from repro.obs.prof import (
     CacheCounter,
     StepProfiler,
@@ -159,7 +158,7 @@ from repro.obs.prof import (
     validate_profile,
 )
 from repro.obs.schema import make_bench_artifact, validate_bench_artifact
-from repro.obs.trace import Observer, TraceRecorder
+from repro.obs.trace import TraceRecorder
 
 # -- Static analysis (repro.lint) -------------------------------------------
 from repro.lint import (
@@ -314,15 +313,12 @@ __all__ = [
     "run_oracles",
     # observability
     "CacheCounter",
-    "Instrumentation",
-    "Observer",
     "SeriesDrift",
     "StepProfiler",
     "TraceRecorder",
     "cache_counter",
     "cache_stats_delta",
     "cache_stats_snapshot",
-    "coerce_instrument",
     "compare_docs",
     "compare_files",
     "compare_series",

@@ -77,9 +77,9 @@ STORE_COUNTER = "store.results"
 def cacheable(spec: Any) -> bool:
     """Whether ``spec``'s result may be served from / stored in a cache.
 
-    Instrumentation fields are in no key (tracing and profiling never
-    change executions), so an instrumented spec and its plain twin share
-    a key.  Serving a plain cached result to a run that asked for a
+    The trace and profile flags are in no key (tracing and profiling
+    never change executions), so an instrumented spec and its plain twin
+    share a key.  Serving a plain cached result to a run that asked for a
     trace/profile would silently drop the requested observability —
     instrumented specs therefore bypass the cache in both directions and
     always execute.  So do specs holding an opaque value (an instance, a

@@ -20,10 +20,10 @@ resolves through ``derive_seed(spec.seed, "fault-plan")``, so chaos
 sweeps key per seed, as they must — different bound plans build
 different channel automata.
 
-Instrumentation rides each run (``System.run(instrument=...)``), never
-the built automata, whose ``apply`` is pure; so an instrumented
-compiled run records the trace and, timings aside, the run report of
-the interpreted one.
+A profiler rides each run (``System.run(instrument=...)``), never the
+built automata, whose ``apply`` is pure, and a trace is read from the
+run's execution afterwards; so an instrumented compiled run records the
+trace of the interpreted one.
 
 The fingerprint cache is a small LRU (:data:`SPEC_CACHE_CAP` entries);
 per-system transition tables are additionally capped at

@@ -124,8 +124,11 @@ class AFD(ABC):
         )
 
     def is_event(self, action: Action) -> bool:
-        """Whether ``action`` is in I-hat ∪ O_D."""
-        return is_crash(action) or self.is_output(action)
+        """Whether ``action`` is in I-hat ∪ O_D, with I-hat the crash
+        events at the locations of Pi."""
+        if is_crash(action):
+            return action.location in self.locations
+        return self.is_output(action)
 
     def output_actions(self) -> ActionSet:
         """O_D as an action set (for signatures and projections)."""
@@ -136,10 +139,9 @@ class AFD(ABC):
         )
 
     def event_actions(self) -> ActionSet:
-        """I-hat ∪ O_D as an action set, with I-hat the crash events at
-        the locations of Pi (:meth:`is_event` takes a crash anywhere)."""
+        """I-hat ∪ O_D as an action set."""
         return PredicateActionSet(
-            lambda a: self.is_event(a) and a.location in self.locations,
+            self.is_event,
             f"events({self.name})",
             keys=(
                 (name, i)
@@ -189,15 +191,17 @@ class AFD(ABC):
     def check_events_well_formed(self, t: Sequence[Action]) -> CheckResult:
         for k, a in enumerate(t):
             if is_crash(a):
-                continue
-            if not self.is_output(a):
-                return CheckResult.failure(
-                    f"event {a} at index {k} is not an event of {self.name}"
-                )
-            if not self.well_formed_output(a):
+                if a.location in self.locations:
+                    continue
+            elif self.is_output(a):
+                if self.well_formed_output(a):
+                    continue
                 return CheckResult.failure(
                     f"output {a} at index {k} is malformed for {self.name}"
                 )
+            return CheckResult.failure(
+                f"event {a} at index {k} is not an event of {self.name}"
+            )
         return CheckResult.success()
 
     def check_safety(self, t: Sequence[Action]) -> CheckResult:

@@ -135,12 +135,3 @@ def evaluate_reduction(
         source_events=source_events,
         target_events=target_events,
     )
-
-
-def compose_reduction_algorithms(
-    first: DistributedAlgorithm, second: DistributedAlgorithm
-) -> List[Automaton]:
-    """The automata of both stages of a stacked reduction (Theorem 15):
-    the first stage's outputs feed the second stage's inputs when the two
-    collections are composed into one system."""
-    return list(first.automata()) + list(second.automata())

@@ -141,22 +141,33 @@ class Execution:
     final state.  A null execution fragment contains a single state and no
     actions.
 
-    ``lasso`` is ``(mu, period)`` when the scheduler closed the run (see
-    :meth:`repro.ioa.scheduler.Scheduler.run`): from step ``mu`` on the
-    run repeats its steps ``mu .. mu + period - 1`` forever, so the
-    fragment is a prefix of the fair execution prefix . cycle^omega.  It
-    is a note about how the run was produced, not part of its value:
-    equality and hashing ignore it, and :meth:`prefix`, :meth:`concat`
-    and :meth:`extend` drop it.
+    :meth:`repro.ioa.scheduler.Scheduler.run` adds three notes about how
+    it produced the run:
+
+    * ``lasso`` is ``(mu, period)`` when the scheduler closed the run:
+      from step ``mu`` on the run repeats its steps
+      ``mu .. mu + period - 1`` forever, so the fragment is a prefix of
+      the fair execution prefix . cycle^omega;
+    * ``injected`` lists, in order, the steps whose action an injection
+      supplied rather than the policy;
+    * ``reason`` says why the run ended: ``"max-steps"``,
+      ``"quiescent"`` (nothing enabled, nothing queued) or
+      ``"stopped"`` (the ``stop_when`` predicate held).
+
+    The notes are not part of the execution's value: equality and
+    hashing ignore them, and :meth:`prefix`, :meth:`concat` and
+    :meth:`extend` drop them.
     """
 
-    __slots__ = ("_states", "_actions", "_lasso")
+    __slots__ = ("_states", "_actions", "_lasso", "_injected", "_reason")
 
     def __init__(
         self,
         states: Iterable[State],
         actions: Iterable[Action],
         lasso: Optional[Tuple[int, int]] = None,
+        injected: Tuple[int, ...] = (),
+        reason: Optional[str] = None,
     ):
         self._states: Tuple[State, ...] = tuple(states)
         self._actions: Tuple[Action, ...] = tuple(actions)
@@ -166,6 +177,8 @@ class Execution:
                 f"{len(self._actions) + 1} states, got {len(self._states)}"
             )
         self._lasso = lasso
+        self._injected = injected
+        self._reason = reason
 
     # -- Accessors -----------------------------------------------------------
 
@@ -181,6 +194,16 @@ class Execution:
     def lasso(self) -> Optional[Tuple[int, int]]:
         """``(mu, period)`` of a closed run, else ``None``."""
         return self._lasso
+
+    @property
+    def injected(self) -> Tuple[int, ...]:
+        """The steps whose action an injection supplied."""
+        return self._injected
+
+    @property
+    def reason(self) -> Optional[str]:
+        """Why the scheduler ended the run, else ``None``."""
+        return self._reason
 
     @property
     def first_state(self) -> State:
@@ -208,10 +231,6 @@ class Execution:
         """The trace of this execution: events external to ``automaton``."""
         sig = automaton.signature
         return Trace(a for a in self._actions if sig.is_external(a))
-
-    def project_actions(self, selector: Selector) -> ActionSequence:
-        """Project the event sequence over a selector."""
-        return self.schedule().project(selector)
 
     # -- Operations -----------------------------------------------------------
 

@@ -20,7 +20,7 @@ Simulated executions are finite, so two checks are provided:
 from __future__ import annotations
 
 from collections import Counter
-from typing import Dict, List, Sequence
+from typing import Dict, List
 
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.executions import Execution
@@ -58,13 +58,3 @@ def task_event_counts(
         task = automaton.task_of(action)
         counts[task if task is not None else "<input>"] += 1
     return dict(counts)
-
-
-def rounds_offered(
-    automaton: Automaton, execution: Execution, schedule_order: Sequence[str]
-) -> int:
-    """How many full round-robin passes over ``schedule_order`` fit into the
-    execution; a coarse fairness metric for truncated runs."""
-    if not schedule_order:
-        return 0
-    return len(execution.actions) // len(schedule_order)

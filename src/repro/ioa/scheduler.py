@@ -30,6 +30,7 @@ from typing import (
 from repro.ioa.actions import Action
 from repro.ioa.automaton import Automaton, State
 from repro.ioa.executions import Execution
+from repro.obs.prof import StepProfiler
 
 #: The chaos channels' internal delay-aging action
 #: (:data:`repro.faults.channels.TICK`); a profiled run books its
@@ -54,16 +55,16 @@ def _timed_apply(prof, apply):
     return timed_apply
 
 
-def _close(states, actions, cursors, quiet, period, max_steps, observer):
+def _close(states, actions, cursors, quiet, period, max_steps):
     """Finish a run whose (state, cursor) pair just recurred after
     ``period`` steps, with nothing queued since step ``quiet``.
 
     From there on each step repeats the step ``period`` earlier, so the
     remaining events are the last ``period`` ones repeated, appended by
-    list repetition; the observer hears each replayed step as if it had
-    fired.  Returns the run's lasso ``(mu, period)`` and the cursor the
-    full run would end on.  ``mu`` is the least step from ``quiet`` whose
-    pair recurs ``period`` steps later: where the cycle starts.
+    list repetition.  Returns the run's lasso ``(mu, period)`` and the
+    cursor the full run would end on.  ``mu`` is the least step from
+    ``quiet`` whose pair recurs ``period`` steps later: where the cycle
+    starts.
     """
     t = len(actions)
     begin = t - period
@@ -78,10 +79,6 @@ def _close(states, actions, cursors, quiet, period, max_steps, observer):
     actions += cycle * repeats + cycle[:extra]
     cycle = states[begin + 1 :]
     states += cycle * repeats + cycle[:extra]
-    if observer is not None:
-        for k in range(t, max_steps):
-            observer.on_step_scheduled(k)
-            observer.on_action(k, actions[k], False)
     return (mu, period), cursors[begin + extra]
 
 
@@ -310,33 +307,27 @@ class Scheduler:
     policy:
         The scheduling policy; default round-robin.
     instrument:
-        Anything :func:`repro.obs.instrument.coerce_instrument` accepts:
-        an :class:`repro.obs.trace.Observer` notified of run start/end,
-        scheduled steps and fired actions; a
-        :class:`repro.obs.prof.StepProfiler`, which books
-        per-phase costs through timing wrappers around the callables
-        :meth:`run` binds once per run (``policy.choose``, ``apply``,
-        the injection ``enabled`` check, ``stop_when``, the observer's
-        hooks, the automaton's ``enabled_by_task``, so ``snapshot``
-        books only the snapshots the run computes, and the replay of a
-        closed run) — the same loop, identical executions; an
-        :class:`~repro.obs.instrument.Instrumentation` bundle; or a tuple
-        of those.  ``None`` (the default) keeps the hot loop free of
-        tracing work: no observer means no per-step object is allocated
-        and the only cost is one ``is not None`` test per event; with
-        no profiler nothing is wrapped.
+        A :class:`repro.obs.prof.StepProfiler`, which books per-phase
+        costs through timing wrappers around the callables :meth:`run`
+        binds once per run (``policy.choose``, ``apply``, the injection
+        ``enabled`` check, ``stop_when``, the automaton's
+        ``enabled_by_task``, so ``snapshot`` books only the snapshots
+        the run computes, and the replay of a closed run) — the same
+        loop, identical executions.  ``None`` (the default) wraps
+        nothing.  The :class:`Execution` a run returns is its whole
+        record, and :meth:`repro.obs.trace.TraceRecorder.record_run`
+        reads the canonical trace from it.
     compiled:
         ``True`` makes :meth:`run` drive the compiled core
         (:mod:`repro.compiled`): the automaton is lowered once into
         interned-id tables (cached per automaton instance) and run by
         this same step loop, the stock policies swapped for twins that
         read the tables (:func:`repro.compiled.loop.policy_for`) — same
-        executions, same observer/profiler protocol,
-        table-replay speed.  ``False`` runs the automaton itself;
-        ``None`` (default) defers to the process default
-        (:func:`repro.compiled.config.set_compiled_default`), which is
-        off unless opted into — the interpreted engine remains the
-        oracle.
+        executions, same profiler phases, table-replay speed.  ``False``
+        runs the automaton itself; ``None`` (default) defers to the
+        process default (:func:`repro.compiled.config.set_compiled_default`),
+        which is off unless opted into — the interpreted engine remains
+        the oracle.
 
     Examples
     --------
@@ -351,19 +342,20 @@ class Scheduler:
     def __init__(
         self,
         policy: Optional[SchedulerPolicy] = None,
-        instrument=None,
+        instrument: Optional[StepProfiler] = None,
         compiled: Optional[bool] = None,
     ):
-        from repro.obs.instrument import coerce_instrument
-
-        bundle = coerce_instrument(instrument)
+        if instrument is not None and not isinstance(instrument, StepProfiler):
+            raise TypeError(
+                "instrument= takes a StepProfiler or None, got "
+                f"{type(instrument).__name__}; for a trace, use "
+                "ExperimentSpec(instrument=True) or "
+                "TraceRecorder.record_run on the returned execution"
+            )
         self.policy = policy or RoundRobinPolicy()
         self.compiled = compiled
-        self.observer = bundle.observer
         self.profiler = (
-            bundle.profiler
-            if bundle.profiler is not None
-            else _DEFAULT_PROFILER
+            instrument if instrument is not None else _DEFAULT_PROFILER
         )
 
     def run(
@@ -392,21 +384,23 @@ class Scheduler:
         repeats (Brent's cycle detection, tested ``is`` before ``==``):
         the next step is a function of that pair, so the rest of the run
         is the cycle again.  Its remaining events are appended by list
-        repetition, the observer hears every replayed step, the cursor
-        ends where the full run would leave it, and the execution
-        records its lasso ``(mu, period)`` (:attr:`Execution.lasso`):
-        the fair execution prefix . cycle^omega (Section 2.4).  ``stop_when`` was false on every
-        cycle state, so the run still ends ``"max-steps"``.  Observers
-        and profilers do not block closure: they watch the loop, and
-        every ``apply`` is a pure function, so the run they see is the
-        run a plain scheduler produces.
+        repetition, the cursor ends where the full run would leave it,
+        and the execution records its lasso ``(mu, period)``
+        (:attr:`Execution.lasso`): the fair execution prefix .
+        cycle^omega (Section 2.4).  ``stop_when`` was false on every
+        cycle state, so the run still ends ``"max-steps"``.  A profiler
+        does not block closure: it only times the loop's callables, and
+        every ``apply`` is a pure function.
+
+        The execution also notes which steps an injection supplied
+        (:attr:`Execution.injected`; a closed run's replayed steps
+        never are, since nothing is queued by then) and why the run
+        ended (:attr:`Execution.reason`).
         """
         from repro.compiled.config import resolve_compiled
 
-        base = automaton
         policy = self.policy
         policy.reset()
-        observer = self.observer
         prof = self.profiler
         if resolve_compiled(self.compiled):
             # The compiled core is driven like any automaton; the stock
@@ -416,7 +410,7 @@ class Scheduler:
             lower = loop.compile_automaton
             if prof is not None:
                 lower = prof.timed("compile", lower)
-            automaton = lower(base)
+            automaton = lower(automaton)
             policy = loop.policy_for(automaton, policy)
         # The per-step callables, bound once per run (after any
         # class-level patching, so external tracers still see every call).
@@ -431,8 +425,6 @@ class Scheduler:
             apply = _timed_apply(prof, apply)
             if stop_when is not None:
                 stop_when = prof.timed("stop-when", stop_when)
-            if observer is not None:
-                observer = prof.observer(observer)
         close = _close if prof is None else prof.timed("replay", _close)
         view = _SnapshotReuse(automaton, enabled_by_task)
         pending: Dict[int, List[Action]] = {}
@@ -440,11 +432,12 @@ class Scheduler:
             pending.setdefault(injection.step, []).append(injection.action)
         if prof is not None:
             queued = _queued(pending)
-            prof.on_run_start()
+            prof.open_run()
 
         state = automaton.initial_state() if start is None else start
         states: List[State] = [state]
         actions: List[Action] = []
+        injected: List[int] = []
         step = 0
         reason = "max-steps"
         # Lasso detection (Brent): the cursor before each step, and the
@@ -459,18 +452,13 @@ class Scheduler:
         mark_state, mark_cursor = state, -1 if pending else 0
         mark = quiet = period = 0
         mark_end = window = 1
-        if observer is not None:
-            observer.on_run_start(base, max_steps)
         while step < max_steps:
             if stop_when is not None and stop_when(state):
                 reason = "stopped"
                 break
-            if observer is not None:
-                observer.on_step_scheduled(step)
             # An injection fires at the first step >= its scheduled step
             # (several injections can share a step; the later ones spill
             # over into subsequent steps).
-            injected = False
             due = (
                 min((s for s in pending if s <= step), default=None)
                 if pending
@@ -484,7 +472,7 @@ class Scheduler:
                     raise ValueError(
                         f"injection {action} at step {step} is not enabled"
                     )
-                injected = True
+                injected.append(step)
             else:
                 chosen = choose(view, state, step)
                 if chosen is None:
@@ -502,14 +490,12 @@ class Scheduler:
                             f"injection {action} (fast-forwarded from step "
                             f"{next_step}) is not enabled"
                         )
-                    injected = True
+                    injected.append(step)
                 else:
                     action = chosen
             state = apply(state, action)
             states.append(state)
             actions.append(action)
-            if observer is not None:
-                observer.on_action(step, action, injected)
             step += 1
             if watch:
                 cursor = rr._cursor
@@ -534,14 +520,18 @@ class Scheduler:
         if period:
             replayed = max_steps - step
             lasso, rr._cursor = close(
-                states, actions, cursors, quiet, period, max_steps, observer
+                states, actions, cursors, quiet, period, max_steps
             )
             step = max_steps
-        if observer is not None:
-            observer.on_run_end(step, reason)
         if prof is not None:
-            prof.on_run_end(step, queued - _queued(pending), replayed)
-        return Execution(states, actions, lasso=lasso)
+            prof.close_run(step, queued - _queued(pending), replayed)
+        return Execution(
+            states,
+            actions,
+            lasso=lasso,
+            injected=tuple(injected),
+            reason=reason,
+        )
 
     def run_to_quiescence(
         self,

@@ -3,15 +3,13 @@
 The paper's evaluation is a set of theorems checked over simulated
 executions; this subpackage is the instrument panel for those
 simulations.  It is deliberately zero-dependency and pay-for-what-you-use:
-nothing here runs unless an observer or a step profiler is attached.
+the step loop runs no tracing code, and nothing here times a run unless
+a step profiler is attached.
 
-``repro.obs.instrument``
-    The unified ``instrument=`` convention: the :class:`Instrumentation`
-    bundle every instrumentable surface accepts.
 ``repro.obs.trace``
-    Structured event tracing: an :class:`Observer` protocol the scheduler
-    notifies, and a :class:`TraceRecorder` that turns the notifications
-    into typed events (no clock readings) with span markers and the
+    Structured event tracing: a :class:`TraceRecorder` that reads a
+    finished run's :class:`~repro.ioa.executions.Execution` into typed
+    events (no clock readings) with span markers, and renders the
     canonical JSONL trace ``result.trace`` stores.
 ``repro.obs.schema``
     The stable schema of the persisted ``BENCH_*.json`` benchmark
@@ -33,12 +31,9 @@ nothing here runs unless an observer or a step profiler is attached.
 # (`python -m repro.obs.schema` / `.compare`) run without the runpy
 # double-import RuntimeWarning an eager `from .schema import ...` causes.
 _EXPORTS = {
-    "Instrumentation": "repro.obs.instrument",
-    "coerce_instrument": "repro.obs.instrument",
     "BENCH_SCHEMA": "repro.obs.schema",
     "make_bench_artifact": "repro.obs.schema",
     "validate_bench_artifact": "repro.obs.schema",
-    "Observer": "repro.obs.trace",
     "TraceEvent": "repro.obs.trace",
     "TraceRecorder": "repro.obs.trace",
     "PROFILE_SCHEMA": "repro.obs.prof",
@@ -72,12 +67,9 @@ def __dir__():
 
 
 __all__ = [
-    "Instrumentation",
-    "coerce_instrument",
     "BENCH_SCHEMA",
     "make_bench_artifact",
     "validate_bench_artifact",
-    "Observer",
     "TraceEvent",
     "TraceRecorder",
     "PROFILE_SCHEMA",

@@ -1,19 +1,16 @@
 """Step-level profiling: where the simulation engine's time actually goes.
 
-PR 3 de-quadratized the scheduler hot path (dispatch memo, per-component
-enabled cache, tree vertex/task-edge memos) but left the repository blind
-below whole-run wall time: a kernel's ``kernel_wall_s`` says nothing about
-whether the budget went to enabled-set snapshots, policy choices, applies
-or observer dispatch, and nothing about whether the PR 3 caches are
-actually hitting.  This module is the instrument the ROADMAP's next items
-(compiled simulation core, content-addressed sweep cache) calibrate
-against.  Two halves:
+A kernel's ``kernel_wall_s`` says nothing about whether the budget went
+to enabled-set snapshots, policy choices or applies, and nothing about
+whether the hot-path memos (dispatch, per-component enabled cache, tree
+vertex/task-edge memos) are actually hitting.  This module sees below
+whole-run wall time.  Two halves:
 
 :class:`StepProfiler`
     Hierarchical per-phase accounting *inside* the scheduler step loop.
     The phases mirror the Section 2 automaton step semantics — resolve
-    what is enabled, choose, apply, notify — plus the chaos layer's
-    internal channel clock:
+    what is enabled, choose, apply — plus the chaos layer's internal
+    channel clock:
 
     ================  ====================================================
     ``stop-when``     the run's ``stop_when`` predicate, evaluated before
@@ -25,15 +22,12 @@ against.  Two halves:
     ``apply``         the transition function on the chosen action
     ``chan-tick``     applies of the chaos channels' internal ``chan-tick``
                       action (delay aging), split out of ``apply``
-    ``observe``       observer notifications (tracing; a crash rule
-                      arms inside ``policy``)
     ``injection``     the enabledness check of adversary-injected free
                       actions
     ``compile``       compiled engine: table resolution, booked before the
                       run starts
     ``replay``        once per closed run: extending it by repeating its
-                      cycle (the observer's replayed hooks are booked
-                      under ``observe``)
+                      cycle
     ``unattributed``  once per run: the loop's wall time minus every phase
                       booked inside it (queue bookkeeping, appends)
     ================  ====================================================
@@ -44,7 +38,7 @@ against.  Two halves:
     ``time.perf_counter``).  Wall time never flows into trace or series
     data — it lives only in the profile summary.  A run attaches a
     profiler by wrapping the callables its one step loop binds at run
-    start (:meth:`StepProfiler.timed`, :meth:`StepProfiler.observer`).
+    start (:meth:`StepProfiler.timed`).
     Each wrapper books its callable's *self* time, so a run's phases sum
     to its loop wall.  Without a profiler nothing is wrapped: the loop
     calls the bound methods directly.
@@ -91,20 +85,10 @@ PHASES = (
     "policy",
     "apply",
     "chan-tick",
-    "observe",
     "injection",
     "compile",
     "replay",
     "unattributed",
-)
-
-#: The observer protocol's hooks (:class:`repro.obs.trace.Observer`),
-#: all booked under ``observe``.
-_OBSERVER_HOOKS = (
-    "on_run_start",
-    "on_step_scheduled",
-    "on_action",
-    "on_run_end",
 )
 
 
@@ -243,8 +227,8 @@ class StepProfiler:
         :func:`repro.obs.schema.make_bench_artifact`.
 
     A profiler accumulates across runs until :meth:`reset`, so one
-    instance can profile a whole sweep.  Attach it anywhere the unified
-    ``instrument=`` convention reaches::
+    instance can profile a whole sweep.  Attach it through a
+    scheduler's ``instrument=`` (or ``System.run(instrument=...)``)::
 
         profiler = StepProfiler()
         Scheduler(instrument=profiler).run(automaton, max_steps=100)
@@ -323,23 +307,16 @@ class StepProfiler:
 
         return wrapper
 
-    def observer(self, observer: Any) -> Any:
-        """``observer`` with its four hooks booked under ``observe``;
-        every other attribute delegates to ``observer``."""
-        hooks = {
-            name: self.timed("observe", getattr(observer, name))
-            for name in _OBSERVER_HOOKS
-        }
-        return _TimedView(observer, hooks)
-
-    def on_run_start(self) -> None:
+    def open_run(self) -> None:
         """Open a run: the loop wall starts at this clock reading."""
         self.runs += 1
         self._run_booked = self.wall_s
         self._run_t0 = self.clock()
 
-    def on_run_end(self, steps: int, injections: int, replayed: int = 0) -> None:
-        """Close the run opened by :meth:`on_run_start`, booking its
+    def close_run(
+        self, steps: int, injections: int, replayed: int = 0
+    ) -> None:
+        """Close the run opened by :meth:`open_run`, booking its
         wall time minus the phases booked inside it as ``unattributed``.
 
         ``steps`` counts the whole run; ``replayed`` of them repeated a
@@ -416,18 +393,6 @@ class StepProfiler:
         with open(path, "w", encoding="utf-8") as fp:
             fp.write(text + "\n")
         return text
-
-
-class _TimedView:
-    """An object's stand-in whose listed methods are timing wrappers;
-    every other attribute delegates to the object itself."""
-
-    def __init__(self, base: Any, methods: Dict[str, Callable]):
-        self._base = base
-        self.__dict__.update(methods)
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self._base, name)
 
 
 # ---------------------------------------------------------------------------

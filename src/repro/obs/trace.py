@@ -1,18 +1,15 @@
 """Structured event tracing for the simulation engine.
 
-The scheduler resolves nondeterminism step by step; this module records
-*what it resolved* as a sequence of typed events.  Two pieces:
-
-* :class:`Observer` — the notification protocol the engine speaks.  Every
-  method is a no-op here, so the engine can call any subclass without
-  caring which events it cares about.  The engine guards every
-  notification with ``if observer is not None``, so a run without an
-  observer allocates nothing and pays only that predicate.
-* :class:`TraceRecorder` — an observer that materializes notifications
-  into :class:`TraceEvent` records, classifies actions into the
-  harness's event taxonomy (send / receive / crash / decision /
-  fd-output / injection / action), supports nested span markers, and
-  renders the canonical JSONL trace ``result.trace`` stores.
+The scheduler resolves nondeterminism step by step, and the
+:class:`~repro.ioa.executions.Execution` it returns records *what it
+resolved*: every action, which steps an injection supplied, and why the
+run ended.  A trace is a projection of the execution (Section 2.2), so
+:class:`TraceRecorder` reads it from the execution after the run
+(:meth:`TraceRecorder.record_run`): it turns each action into a
+:class:`TraceEvent` of the harness's event taxonomy (send / receive /
+crash / decision / fd-output / injection / action), supports nested
+span markers, and renders the canonical JSONL trace ``result.trace``
+stores.  A plain run pays nothing for tracing.
 
 Events record what happened, not when: the paper's AFDs have no real
 time (Section 3.2), so an event's only clock is its step index, and a
@@ -22,7 +19,6 @@ Event taxonomy (the ``kind`` field):
 
 ===============  ====================================================
 ``run-start``    a scheduler run began (``data.max_steps``)
-``step``         a step was scheduled (only with ``record_steps=True``)
 ``injection``    an adversary-injected non-crash action fired
 ``crash``        a crash event fired
 ``send``         a ``send(m, j)_i`` action (``data.dst``)
@@ -44,38 +40,13 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from repro.ioa.actions import Action
+from repro.ioa.executions import Execution
 
 #: Action names with a dedicated event kind.
 SEND = "send"
 RECEIVE = "receive"
 CRASH = "crash"
 DECIDE = "decide"
-
-
-class Observer:
-    """The engine-side notification protocol; every method is a no-op.
-
-    Subclass and override what you need.  The scheduler only ever calls
-    these methods — it never inspects observer state — so any object with
-    this interface can be attached to :class:`~repro.ioa.scheduler.Scheduler`
-    or :class:`~repro.system.network.SystemBuilder`.
-    """
-
-    def on_run_start(self, automaton, max_steps: int) -> None:
-        """A scheduler run is about to produce its first step."""
-
-    def on_step_scheduled(self, step: int) -> None:
-        """The scheduler is about to resolve step ``step``."""
-
-    def on_action(self, step: int, action: Action, injected: bool) -> None:
-        """``action`` fired as event number ``step`` of the run."""
-
-    def on_run_end(self, steps: int, reason: str) -> None:
-        """The run ended after ``steps`` events.
-
-        ``reason`` is one of ``"max-steps"``, ``"quiescent"``,
-        ``"stopped"`` (the ``stop_when`` predicate fired).
-        """
 
 
 @dataclass
@@ -128,39 +99,32 @@ class _SpanHandle:
         self._recorder._span_stack.pop()
 
 
-class TraceRecorder(Observer):
-    """Record engine notifications as typed events.
+class TraceRecorder:
+    """Record scheduler runs as typed events.
 
     Parameters
     ----------
     fd_output_name:
         Name of the failure detector's output action (e.g. ``"fd-omega"``);
         actions with this name are classified as ``fd-output`` events.
-    record_steps:
-        Also record a ``step`` event each time the scheduler begins
-        resolving a step.  Off by default (it doubles the event volume).
 
     Examples
     --------
     >>> from repro.ioa.scheduler import Scheduler
     >>> from repro.detectors.omega import OmegaAutomaton
+    >>> automaton = OmegaAutomaton(locations=(0, 1))
+    >>> execution = Scheduler().run(automaton, max_steps=4)
     >>> recorder = TraceRecorder(fd_output_name="fd-omega")
     >>> with recorder.span("demo"):
-    ...     _ = Scheduler(instrument=recorder).run(
-    ...         OmegaAutomaton(locations=(0, 1)), max_steps=4)
+    ...     recorder.record_run(automaton.name, 4, execution)
     >>> [e.kind for e in recorder.events][:2]
     ['span-start', 'run-start']
     >>> recorder.counts()["fd-output"]
     4
     """
 
-    def __init__(
-        self,
-        fd_output_name: Optional[str] = None,
-        record_steps: bool = False,
-    ):
+    def __init__(self, fd_output_name: Optional[str] = None):
         self.fd_output_name = fd_output_name
-        self.record_steps = record_steps
         self.events: List[TraceEvent] = []
         self._span_stack: List[str] = []
 
@@ -200,40 +164,38 @@ class TraceRecorder(Observer):
             return "fd-output"
         return "injection" if injected else "action"
 
-    # -- Observer protocol --------------------------------------------------
+    # -- Recording ----------------------------------------------------------
 
-    def on_run_start(self, automaton, max_steps: int) -> None:
+    def record_run(
+        self, name: Optional[str], max_steps: int, execution: Execution
+    ) -> None:
+        """Record one scheduler run of the automaton called ``name``
+        with budget ``max_steps``: a ``run-start`` event, one event per
+        action of ``execution`` (its :attr:`~Execution.injected` steps
+        flagged), and a ``run-end`` event with its
+        :attr:`~Execution.reason`."""
+        self._append("run-start", None, None, name, {"max_steps": max_steps})
+        injected = frozenset(execution.injected)
+        for step, action in enumerate(execution.actions):
+            by_injection = step in injected
+            kind = self.classify(action, by_injection)
+            data: Dict[str, Any] = {}
+            if by_injection and kind != "injection":
+                data["injected"] = True
+            # Message events carry the other endpoint, so a reader of the
+            # trace need not re-parse payloads.
+            if kind == "send" and len(action.payload) == 2:
+                data["dst"] = action.payload[1]
+            elif kind == "receive" and len(action.payload) == 2:
+                data["src"] = action.payload[1]
+            self._append(kind, step, action.location, action.name, data)
         self._append(
-            "run-start",
+            "run-end",
             None,
             None,
-            getattr(automaton, "name", None),
-            {"max_steps": max_steps},
+            None,
+            {"steps": len(execution), "reason": execution.reason},
         )
-
-    def on_step_scheduled(self, step: int) -> None:
-        if self.record_steps:
-            self._append("step", step, None, None, {})
-
-    def on_action(self, step: int, action: Action, injected: bool) -> None:
-        kind = self.classify(action, injected)
-        data: Dict[str, Any] = {}
-        if injected and kind != "injection":
-            data["injected"] = True
-        # Message events carry the other endpoint, so a reader of the
-        # trace need not re-parse payloads.
-        if kind == "send" and len(action.payload) == 2:
-            data["dst"] = action.payload[1]
-        elif kind == "receive" and len(action.payload) == 2:
-            data["src"] = action.payload[1]
-        self._append(kind, step, action.location, action.name, data)
-
-    def on_run_end(self, steps: int, reason: str) -> None:
-        self._append(
-            "run-end", None, None, None, {"steps": steps, "reason": reason}
-        )
-
-    # -- Direct recording ---------------------------------------------------
 
     def record(
         self,

@@ -20,7 +20,6 @@ from typing import List, Sequence, Tuple
 
 from repro.ioa.actions import Action
 from repro.core.afd import CheckResult
-from repro.system.fault_pattern import is_crash
 
 
 class CrashProblem(ABC):
@@ -68,8 +67,3 @@ class CrashProblem(ABC):
 
     def __repr__(self) -> str:
         return f"<CrashProblem {self.name} over {self.locations}>"
-
-
-def crashes_in(t: Sequence[Action]) -> List[Action]:
-    """The crash events of a trace."""
-    return [a for a in t if is_crash(a)]

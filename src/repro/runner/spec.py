@@ -5,9 +5,10 @@ detector, problem, locations, proposals, fault pattern, seed, step
 budget, instrumentation config — as plain (picklable) values, so the
 same spec object can execute in this process or be shipped to a
 ``multiprocessing`` worker and produce an *identical* trace either way:
-the canonical trace an instrumented spec returns records what happened
-and at which step, never a clock reading.  Determinism is the contract:
-:func:`run_spec` reconstructs every stateful piece (policy RNG,
+the canonical trace an instrumented spec returns is read from the run's
+:class:`~repro.ioa.executions.Execution` after the run, and records what
+happened and at which step, never a clock reading.  Determinism is the
+contract: :func:`run_spec` reconstructs every stateful piece (policy RNG,
 automata, recorders, crash-rule controllers) from the spec alone.
 
 The executable problems:
@@ -67,7 +68,8 @@ POLICIES = ("round-robin", "random")
 # keys by default: forgetting to declare a role costs a cache miss, never
 # a stale hit.
 
-#: Attaches observers only (runs are byte-identical either way): no key.
+#: Asks for a trace or a profile (runs are byte-identical either way):
+#: no key.
 INSTRUMENTATION = "instrumentation"
 #: Selects the execution engine (both engines agree byte for byte): no key.
 ENGINE = "engine"
@@ -192,10 +194,11 @@ class ExperimentSpec:
     max_steps:
         Step budget for the run.
     instrument:
-        ``False`` (default): uninstrumented, zero overhead.  ``True``:
-        a :class:`~repro.obs.trace.TraceRecorder` watches the run, and
-        its canonical trace lands in ``result.trace``.  The execution is
-        the uninstrumented one, lasso closure included.
+        ``False`` (default): no trace.  ``True``: after the run a
+        :class:`~repro.obs.trace.TraceRecorder` reads the execution
+        (:meth:`~repro.obs.trace.TraceRecorder.record_run`), and its
+        canonical trace lands in ``result.trace``.  The run itself is
+        the plain one, lasso closure included.
     profile:
         ``True`` attaches a :class:`~repro.obs.prof.StepProfiler` to the
         run and stores its summary (schema ``repro.profile/1``: phase
@@ -254,9 +257,6 @@ class ExperimentSpec:
     min_live_outputs: int = field(default=1, metadata={"key": RUN})
     instrument: bool = field(default=False, metadata={"key": INSTRUMENTATION})
     profile: bool = field(default=False, metadata={"key": INSTRUMENTATION})
-    record_steps: bool = field(
-        default=False, metadata={"key": INSTRUMENTATION}
-    )
     fault_plan: Any = None
     timed: Any = None
     compiled: Optional[bool] = field(default=None, metadata={"key": ENGINE})
@@ -502,7 +502,6 @@ def run_spec(
     *,
     policy=None,
     decision_fn=None,
-    instrument=None,
     keep: bool = False,
 ) -> ExperimentResult:
     """Execute one spec and summarize it; deterministic given the spec.
@@ -516,42 +515,31 @@ def run_spec(
     first among them) and are not part of the picklable contract:
     ``policy`` overrides the spec-built scheduler policy with a live
     instance, ``decision_fn`` overrides the algorithm's decision
-    extractor, ``instrument`` attaches a caller-owned instrumentation
-    bundle *instead of* the spec-built one (so ``result.trace`` stays
-    unset — the caller owns the recorder), and
-    ``keep=True`` retains the full in-process
+    extractor, and ``keep=True`` retains the full in-process
     :class:`~repro.analysis.checkers.ConsensusRunResult` on
     ``result.run``.
     """
     start = time.perf_counter()
     recorder = None
     profiler = None
-    if instrument is None:
-        if spec.instrument:
-            from repro.obs.trace import TraceRecorder
+    if spec.instrument:
+        from repro.obs.trace import TraceRecorder
 
-            afd_probe = spec.resolve_afd()
-            recorder = TraceRecorder(
-                fd_output_name=afd_probe.output_name,
-                record_steps=spec.record_steps,
-            )
-        if spec.profile:
-            from repro.obs.prof import StepProfiler
+        recorder = TraceRecorder(fd_output_name=spec.resolve_afd().output_name)
+    if spec.profile:
+        from repro.obs.prof import StepProfiler
 
-            profiler = StepProfiler()
-        if recorder is not None or profiler is not None:
-            from repro.obs.instrument import Instrumentation
-
-            instrument = Instrumentation(observer=recorder, profiler=profiler)
+        profiler = StepProfiler()
 
     if spec.problem == "detector-trace":
-        result = _run_detector_trace(spec, instrument)
+        result = _run_detector_trace(spec, recorder, profiler)
     elif spec.problem == "timed-detector":
-        result = _run_timed(spec, instrument)
+        result = _run_timed(spec, recorder, profiler)
     else:
         result = _run_consensus(
             spec,
-            instrument,
+            recorder,
+            profiler,
             policy=policy,
             decision_fn=decision_fn,
             keep=keep,
@@ -567,7 +555,8 @@ def run_spec(
 
 def _run_consensus(
     spec,
-    instrument,
+    recorder,
+    profiler,
     *,
     policy=None,
     decision_fn=None,
@@ -578,22 +567,18 @@ def _run_consensus(
     The single consensus execution path — demos, tests, the batch
     engine and :func:`~repro.analysis.checkers.run_consensus_experiment`
     all bottom out here.  On the interpreted engine the system is built
-    fresh (with any instrumentation attached at build time); on the
-    compiled engine the cached
-    :class:`~repro.compiled.system.CompiledSystem` is reused and the
-    instrumentation rides the run (``System.run(instrument=...)``).
-    Both engines then share everything else verbatim: settlement
-    predicate, span wrapping, projections, T_D and consensus checks.
+    fresh; on the compiled engine the cached
+    :class:`~repro.compiled.system.CompiledSystem` is reused.  Both
+    engines then share everything else verbatim: the profiler rides the
+    run (``System.run(instrument=...)``), and the settlement predicate,
+    projections, T_D and consensus checks and the recorded trace (the
+    run inside a ``consensus-run`` span, then the two verdicts as
+    ``checker`` events) are the same.
     """
-    from contextlib import nullcontext
-
     from repro.analysis.checkers import ConsensusRunResult
     from repro.compiled.config import resolve_compiled
-    from repro.obs.instrument import coerce_instrument
     from repro.problems.consensus import ConsensusProblem
 
-    bundle = coerce_instrument(instrument)
-    observer = bundle.observer
     compiled = resolve_compiled(spec.compiled)
     if compiled:
         from repro.compiled.system import compile_spec
@@ -616,8 +601,6 @@ def _run_consensus(
                 ScriptedConsensusEnvironment(spec.effective_proposals())
             )
         )
-        if bundle:
-            builder.with_instrumentation(bundle)
         plan = spec.resolve_fault_plan()
         if plan is not None:
             builder.with_fault_plan(plan)
@@ -643,18 +626,14 @@ def _run_consensus(
             for i in locations
         )
 
-    # A TraceRecorder observer gets the whole run marked as one span, so
-    # recorded decision events carry a non-empty enclosing span.
-    span = getattr(observer, "span", None)
-    with span("consensus-run") if span is not None else nullcontext():
-        execution = system.run(
-            max_steps=spec.max_steps,
-            fault_pattern=spec.fault_pattern(),
-            policy=policy,
-            stop_when=everyone_settled,
-            instrument=bundle if compiled and bundle else None,
-            compiled=compiled,
-        )
+    execution = system.run(
+        max_steps=spec.max_steps,
+        fault_pattern=spec.fault_pattern(),
+        policy=policy,
+        stop_when=everyone_settled,
+        instrument=profiler,
+        compiled=compiled,
+    )
     events = list(execution.actions)
     problem = ConsensusProblem(locations, f=spec.f)
     fd_events = afd.project_events(events)
@@ -670,10 +649,17 @@ def _run_consensus(
     }
     fd_check = afd.check_limit(fd_events, spec.min_live_outputs)
     consensus_check = problem.check_conditional(problem_events)
-    record = getattr(observer, "record", None)
-    if record is not None:
-        record("checker", name="fd_check", ok=bool(fd_check))
-        record("checker", name="consensus_check", ok=bool(consensus_check))
+    if recorder is not None:
+        # The run is marked as one span, so its decision events carry a
+        # non-empty enclosing span.
+        with recorder.span("consensus-run"):
+            recorder.record_run(
+                system.composition.name, spec.max_steps, execution
+            )
+        recorder.record("checker", name="fd_check", ok=bool(fd_check))
+        recorder.record(
+            "checker", name="consensus_check", ok=bool(consensus_check)
+        )
     outcome = ConsensusRunResult(
         execution=execution,
         decisions=decisions,
@@ -704,7 +690,7 @@ def _run_consensus(
     )
 
 
-def _run_detector_trace(spec, instrument) -> ExperimentResult:
+def _run_detector_trace(spec, recorder, profiler) -> ExperimentResult:
     from repro.compiled.config import resolve_compiled
     from repro.ioa.scheduler import Scheduler
 
@@ -719,12 +705,14 @@ def _run_detector_trace(spec, instrument) -> ExperimentResult:
         afd = spec.resolve_afd()
         automaton = afd.automaton()
     execution = Scheduler(
-        spec.build_policy(), instrument=instrument, compiled=compiled
+        spec.build_policy(), instrument=profiler, compiled=compiled
     ).run(
         automaton,
         max_steps=spec.max_steps,
         injections=spec.fault_pattern().injections(),
     )
+    if recorder is not None:
+        recorder.record_run(automaton.name, spec.max_steps, execution)
     events = list(execution.actions)
     fd_ok = bool(afd.check_limit(events, spec.min_live_outputs))
     return ExperimentResult(
@@ -738,7 +726,7 @@ def _run_detector_trace(spec, instrument) -> ExperimentResult:
     )
 
 
-def _run_timed(spec, instrument) -> ExperimentResult:
+def _run_timed(spec, recorder, profiler) -> ExperimentResult:
     """Run one timed implementation and judge its trace for conformance.
 
     The whole timed system (processes + virtual clock + network) is a
@@ -780,8 +768,10 @@ def _run_timed(spec, instrument) -> ExperimentResult:
                 )
             injections.append(Injection(rule.param, crash_action(rule.location)))
     execution = Scheduler(
-        spec.build_policy(), instrument=instrument, compiled=compiled
+        spec.build_policy(), instrument=profiler, compiled=compiled
     ).run(automaton, max_steps=spec.max_steps, injections=injections)
+    if recorder is not None:
+        recorder.record_run(automaton.name, spec.max_steps, execution)
     trace = list(execution.trace(automaton))
     verdict = AfdValidityOracle(
         automaton.afd(), spec.min_live_outputs

@@ -14,6 +14,7 @@ from repro.ioa.automaton import Automaton, State
 from repro.ioa.composition import Composition
 from repro.ioa.executions import Execution, Trace
 from repro.ioa.scheduler import Scheduler, SchedulerPolicy
+from repro.obs.prof import StepProfiler
 from repro.system.channel import ChannelAutomaton, make_channels
 from repro.system.crash import CrashAutomaton
 from repro.system.fault_pattern import FaultPattern
@@ -44,8 +45,6 @@ class SystemBuilder:
         self.algorithm: Optional[DistributedAlgorithm] = None
         self.failure_detector: Optional[Automaton] = None
         self.environment: Optional[Automaton] = None
-        self.observer = None
-        self.profiler = None
         self.fault_plan = None
 
     # -- Configuration -----------------------------------------------------
@@ -91,20 +90,6 @@ class SystemBuilder:
         self.fault_plan = plan
         return self
 
-    def with_instrumentation(self, instrument) -> "SystemBuilder":
-        """Attach instrumentation (the unified ``instrument=`` convention,
-        :mod:`repro.obs.instrument`): the observer half is notified by
-        every run of the built system unless overridden per-run; the
-        profiler half books the step phases of every run."""
-        from repro.obs.instrument import coerce_instrument
-
-        bundle = coerce_instrument(instrument)
-        if bundle.observer is not None:
-            self.observer = bundle.observer
-        if bundle.profiler is not None:
-            self.profiler = bundle.profiler
-        return self
-
     # -- Assembly ------------------------------------------------------------
 
     def build(self) -> "System":
@@ -133,8 +118,6 @@ class SystemBuilder:
             crash=crash,
             failure_detector=self.failure_detector,
             environment=self.environment,
-            observer=self.observer,
-            profiler=self.profiler,
             fault_plan=plan,
         )
 
@@ -151,8 +134,6 @@ class System:
         crash: CrashAutomaton,
         failure_detector: Optional[Automaton],
         environment: Optional[Automaton],
-        observer=None,
-        profiler=None,
         fault_plan=None,
     ):
         self.composition = composition
@@ -162,8 +143,6 @@ class System:
         self.crash = crash
         self.failure_detector = failure_detector
         self.environment = environment
-        self.observer = observer
-        self.profiler = profiler
         self.fault_plan = fault_plan
         #: The crash-rule controller of the most recent run (None when
         #: the attached plan has no crash rules); exposes ``.fired``.
@@ -177,16 +156,15 @@ class System:
         fault_pattern: Optional[FaultPattern] = None,
         policy: Optional[SchedulerPolicy] = None,
         stop_when: Optional[Callable[[State], bool]] = None,
-        instrument=None,
+        instrument: Optional[StepProfiler] = None,
         compiled: Optional[bool] = None,
     ) -> Execution:
         """Run the system under a fault pattern and scheduling policy.
 
-        ``instrument`` attaches run-scoped instrumentation: its halves
-        override the builder-attached observer/profiler for this run
-        only — the seam the compiled engine uses, since a compiled
-        system is built once (uninstrumented) and instrumented per run.
-        With neither, the run is entirely uninstrumented.  Crash rules
+        ``instrument`` is a :class:`~repro.obs.prof.StepProfiler` that
+        books this run's step phases (``None``: unprofiled); the
+        returned :class:`~repro.ioa.executions.Execution` is the whole
+        record of the run, the source of its trace.  Crash rules
         of the attached fault plan wrap ``policy``
         (:meth:`~repro.faults.adversary.CrashRuleController.wrap`).
         ``compiled`` routes the run through the compiled core
@@ -195,16 +173,6 @@ class System:
         injections = (
             fault_pattern.injections() if fault_pattern is not None else ()
         )
-        run_profiler = self.profiler
-        run_observer = self.observer
-        if instrument is not None:
-            from repro.obs.instrument import coerce_instrument
-
-            bundle = coerce_instrument(instrument)
-            if bundle.observer is not None:
-                run_observer = bundle.observer
-            if bundle.profiler is not None:
-                run_profiler = bundle.profiler
         self.crash_controller = None
         if self.fault_plan is not None and self.fault_plan.crash_rules:
             from repro.faults.adversary import CrashRuleController
@@ -217,11 +185,7 @@ class System:
             )
             self.crash_controller = controller
             policy = controller.wrap(policy)
-        scheduler = Scheduler(
-            policy,
-            instrument=(run_observer, run_profiler),
-            compiled=compiled,
-        )
+        scheduler = Scheduler(policy, instrument=instrument, compiled=compiled)
         return scheduler.run(
             self.composition,
             max_steps=max_steps,

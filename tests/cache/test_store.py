@@ -190,7 +190,6 @@ class TestCacheable:
     def test_plain_spec_cacheable(self):
         assert cacheable(trace_spec())
 
-    def test_instrumented_profiled_and_step_recording_bypass(self):
+    def test_instrumented_and_profiled_bypass(self):
         assert not cacheable(trace_spec(instrument=True))
         assert not cacheable(trace_spec(profile=True))
-        assert not cacheable(trace_spec(record_steps=True))

@@ -113,6 +113,8 @@ class TestAFDVocabulary:
         assert omega.is_event(crash_action(0))
         assert omega.is_event(omega_output(1, 2))
         assert not omega.is_event(perfect_output(0, ()))
+        # I-hat holds the crash events of Pi only.
+        assert not omega.is_event(crash_action(7))
 
     def test_project_events(self):
         omega = Omega(LOCS)
@@ -120,6 +122,13 @@ class TestAFDVocabulary:
         assert omega.project_events(t) == [
             omega_output(0, 1),
             crash_action(1),
+        ]
+
+    def test_project_events_drops_crashes_outside_pi(self):
+        t = [crash_action(7), omega_output(0, 1), crash_action(2)]
+        assert Omega(LOCS).project_events(t) == [
+            omega_output(0, 1),
+            crash_action(2),
         ]
 
     def test_action_sets_declare_their_keys(self):
@@ -152,6 +161,12 @@ class TestSafetyChecks:
             [crash_action(0), omega_output(0, 1)]
         )
         assert not result
+
+    def test_crash_outside_pi_rejected(self):
+        result = Omega(LOCS).check_safety([crash_action(7)])
+        assert result.reasons == [
+            "event crash()_7 at index 0 is not an event of Omega"
+        ]
 
 
 class TestCheckLimit:
@@ -196,6 +211,15 @@ class TestRenamedAFD:
 
     def test_renamed_name(self):
         assert Omega(LOCS).renamed().name == "Omega'"
+
+    def test_renamed_events_hold_the_crashes_of_pi_only(self):
+        renamed = Omega(LOCS).renamed()
+        output = renamed.renaming_map.apply(omega_output(0, 1))
+        t = [crash_action(7), output, crash_action(2)]
+        assert renamed.project_events(t) == [output, crash_action(2)]
+        assert renamed.check_safety([crash_action(7)]).reasons == [
+            "event crash()_7 at index 0 is not an event of Omega'"
+        ]
 
 
 class TestClosureProperties:

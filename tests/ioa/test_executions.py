@@ -144,6 +144,27 @@ class TestExecution:
         assert closed.concat(Execution([0, 1], [A])).lasso is None
         assert closed.extend(A, 1).lasso is None
 
+    def test_injected_and_reason_are_notes_not_part_of_the_value(self):
+        noted = Execution([0, 1, 0], [A, B], injected=(1,), reason="quiescent")
+        plain = Execution([0, 1, 0], [A, B])
+        assert (noted.injected, noted.reason) == ((1,), "quiescent")
+        assert (plain.injected, plain.reason) == ((), None)
+        assert noted == plain
+        assert hash(noted) == hash(plain)
+        with pytest.raises(AttributeError):
+            noted.injected = ()
+        with pytest.raises(AttributeError):
+            noted.reason = None
+
+    def test_derived_executions_drop_injected_and_reason(self):
+        noted = Execution([0, 1, 0], [A, B], injected=(0,), reason="stopped")
+        for derived in (
+            noted.prefix(1),
+            noted.concat(Execution([0, 1], [A])),
+            noted.extend(A, 1),
+        ):
+            assert (derived.injected, derived.reason) == ((), None)
+
     def test_is_execution_of(self):
         m = make_machine()
         good = Execution([0, 1], [A])

@@ -28,11 +28,9 @@ from repro.ioa.scheduler import (
 )
 from repro.ioa.signature import FiniteActionSet, Signature
 from repro.obs.prof import StepProfiler
-from repro.obs.trace import Observer
+from repro.obs.trace import TraceRecorder
 from repro.problems.bounded import MaskedRoundRobinPolicy
 from repro.runner import ExperimentSpec, run_spec
-
-from tests.ioa.test_scheduler_observer import RecordingObserver
 
 GO = Action("go", 0)
 T1 = Action("t1", 0)
@@ -110,15 +108,20 @@ class TestExactLasso:
         assert policy._cursor == 1
 
     @ENGINES
-    def test_observer_hears_every_replayed_step(self, compiled):
-        observer = RecordingObserver()
-        Scheduler(instrument=observer, compiled=compiled).run(
-            prefix_and_cycle(), 9
-        )
-        expected = [("run-start", "lasso", 9)]
-        for k in range(9):
-            expected += [("step", k), ("action", k, "go", False)]
-        assert observer.calls == expected + [("run-end", 9, "max-steps")]
+    def test_closed_run_traces_like_the_stepped_run(self, compiled):
+        # The second injection is fast-forwarded; the run closes after it.
+        injections = [Injection(5, IN), Injection(500, IN)]
+        traces = []
+        for policy in (RoundRobinPolicy(), RoundRobinSubclass()):
+            execution = Scheduler(policy, compiled=compiled).run(
+                park_then_cycle(), 30, injections=injections
+            )
+            recorder = TraceRecorder()
+            recorder.record_run("park", 30, execution)
+            traces.append((execution.lasso, recorder.canonical_jsonl_lines()))
+        (closed_lasso, closed), (stepped_lasso, stepped) = traces
+        assert closed_lasso is not None and stepped_lasso is None
+        assert closed == stepped
 
     def test_repeat_on_the_last_step_still_records_the_lasso(self):
         # Brent's search first matches at step 6; nothing is left to replay.
@@ -204,10 +207,10 @@ class TestIneligibleRunsNeverClose:
         assert "replay" not in prof.phase_calls
 
     @ENGINES
-    def test_observers_and_profilers_do_not_block_closure(self, compiled):
+    def test_profilers_do_not_block_closure(self, compiled):
         plain = Scheduler(compiled=compiled).run(prefix_and_cycle(), 20)
         watched = Scheduler(
-            instrument=(Observer(), StepProfiler()), compiled=compiled
+            instrument=StepProfiler(), compiled=compiled
         ).run(prefix_and_cycle(), 20)
         assert plain.lasso == watched.lasso == (2, 3)
         assert watched == plain
@@ -262,9 +265,7 @@ class TestProfilerAccount:
             return readings[-1]
 
         prof = StepProfiler(clock=clock)
-        Scheduler(instrument=(prof, Observer())).run(prefix_and_cycle(), 20)
-        # Replayed hooks are booked under observe, not under replay.
-        assert prof.phase_calls["observe"] == 2 + 2 * 20
+        Scheduler(instrument=prof).run(prefix_and_cycle(), 20)
         assert prof.phase_calls["replay"] == 1
         assert prof.phase_wall_s["replay"] > 0
         assert prof.wall_s == readings[-1] - readings[0]

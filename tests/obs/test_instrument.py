@@ -1,62 +1,29 @@
-"""The unified instrument= convention: coercion and the 1.5.0 removals."""
+"""The instrument= keyword: a StepProfiler or None, and the removed
+spellings.
+
+A run needs no observer: ``Scheduler.run`` returns the execution, the
+whole record of the run, and ``TraceRecorder.record_run`` reads the
+canonical trace from it.  So ``instrument=`` takes only a profiler, on
+the two surfaces that run a scheduler: ``Scheduler`` and ``System.run``.
+"""
 
 from __future__ import annotations
 
 import pytest
 
+import repro.api
+import repro.obs
+from repro.algorithms.consensus_omega import omega_consensus_algorithm
+from repro.analysis.checkers import run_consensus_experiment
+from repro.detectors.omega import OmegaAutomaton
 from repro.ioa.scheduler import Scheduler
-from repro.obs.instrument import Instrumentation, coerce_instrument
-from repro.obs.prof import StepProfiler
+from repro.obs.prof import PHASES, StepProfiler
 from repro.obs.trace import TraceRecorder
+from repro.runner.spec import ExperimentSpec, run_spec
+from repro.system.fault_pattern import FaultPattern
 from repro.system.network import SystemBuilder
 
 LOCS = (0, 1, 2)
-
-
-class TestCoerce:
-    def test_none(self):
-        bundle = coerce_instrument(None)
-        assert bundle.observer is None and bundle.profiler is None
-        assert not bundle
-
-    def test_observer(self):
-        rec = TraceRecorder()
-        bundle = coerce_instrument(rec)
-        assert bundle.observer is rec and bundle.profiler is None
-
-    def test_tuple_merges(self):
-        rec, prof = TraceRecorder(), StepProfiler()
-        bundle = coerce_instrument((rec, prof))
-        assert bundle.observer is rec and bundle.profiler is prof
-
-    def test_nested_with_nones(self):
-        prof = StepProfiler()
-        bundle = coerce_instrument((None, (prof, None)))
-        assert bundle.profiler is prof
-
-    def test_passthrough(self):
-        inst = Instrumentation(profiler=StepProfiler())
-        assert coerce_instrument(inst) is inst
-
-    def test_rejects_junk(self):
-        with pytest.raises(TypeError):
-            coerce_instrument(42)
-
-    def test_rejects_junk_names_profiler(self):
-        with pytest.raises(TypeError, match="StepProfiler"):
-            coerce_instrument(42)
-
-    def test_profiler_alone(self):
-        prof = StepProfiler()
-        bundle = coerce_instrument(prof)
-        assert bundle.profiler is prof
-        assert bundle.observer is None
-        assert bundle
-
-    def test_first_profiler_wins_in_merge(self):
-        first, second = StepProfiler(), StepProfiler()
-        bundle = coerce_instrument((first, second))
-        assert bundle.profiler is first
 
 
 class TestSchedulerInstrument:
@@ -66,31 +33,74 @@ class TestSchedulerInstrument:
         with pytest.raises(TypeError):
             Scheduler(observer=TraceRecorder())
 
-    def test_instrument_kwarg_no_warning(self, recwarn):
-        Scheduler(instrument=TraceRecorder())
-        assert not [
-            w for w in recwarn if w.category is DeprecationWarning
-        ]
+    def test_takes_a_profiler(self):
+        prof = StepProfiler()
+        assert Scheduler(instrument=prof).profiler is prof
 
-    def test_observer_and_profiler_halves_together(self):
-        rec, prof = TraceRecorder(), StepProfiler()
-        scheduler = Scheduler(instrument=(rec, prof))
-        assert scheduler.observer is rec
-        assert scheduler.profiler is prof
+    @pytest.mark.parametrize(
+        "value",
+        [TraceRecorder(), (StepProfiler(), None), 42],
+        ids=["recorder", "tuple", "junk"],
+    )
+    def test_anything_else_names_the_replacements(self, value):
+        with pytest.raises(TypeError) as raised:
+            Scheduler(instrument=value)
+        message = str(raised.value)
+        assert "ExperimentSpec(instrument=True)" in message
+        assert "TraceRecorder.record_run" in message
 
 
-class TestBuilderInstrument:
-    def test_with_observer_removed(self):
-        assert not hasattr(SystemBuilder(LOCS), "with_observer")
+class TestSystemRunInstrument:
+    def test_profiler_books_the_run(self):
+        system = (
+            SystemBuilder(LOCS)
+            .with_algorithm(omega_consensus_algorithm(LOCS))
+            .with_failure_detector(OmegaAutomaton(LOCS))
+            .build()
+        )
+        prof = StepProfiler()
+        execution = system.run(max_steps=50, instrument=prof)
+        assert prof.runs == 1
+        assert prof.steps == len(execution) == 50
 
-    def test_with_metrics_removed(self):
-        assert not hasattr(SystemBuilder(LOCS), "with_metrics")
+    def test_builder_takes_no_instrumentation(self):
+        builder = SystemBuilder(LOCS)
+        for name in ("with_observer", "with_metrics", "with_instrumentation"):
+            assert not hasattr(builder, name)
 
-    def test_with_instrumentation_sets_both(self, recwarn):
-        rec, prof = TraceRecorder(), StepProfiler()
-        builder = SystemBuilder(LOCS).with_instrumentation((rec, prof))
-        assert builder.observer is rec
-        assert builder.profiler is prof
-        assert not [
-            w for w in recwarn if w.category is DeprecationWarning
-        ]
+
+class TestRemovedNames:
+    @pytest.mark.parametrize("module", [repro.obs, repro.api])
+    @pytest.mark.parametrize(
+        "name", ["Instrumentation", "coerce_instrument", "Observer"]
+    )
+    def test_observer_names_are_gone(self, module, name):
+        assert not hasattr(module, name)
+
+    def test_run_spec_takes_no_instrument(self):
+        spec = ExperimentSpec(
+            problem="detector-trace", detector="omega", locations=LOCS
+        )
+        with pytest.raises(TypeError):
+            run_spec(spec, instrument=StepProfiler())
+
+    def test_run_consensus_experiment_takes_no_instrument(self):
+        with pytest.raises(TypeError):
+            run_consensus_experiment(
+                omega_consensus_algorithm(LOCS),
+                "omega",
+                proposals={0: 1, 1: 0, 2: 1},
+                fault_pattern=FaultPattern({}, LOCS),
+                f=1,
+                instrument=StepProfiler(),
+            )
+
+    def test_record_steps_is_gone(self):
+        with pytest.raises(TypeError):
+            ExperimentSpec(detector="omega", locations=LOCS, record_steps=True)
+        with pytest.raises(TypeError):
+            TraceRecorder(record_steps=True)
+
+    def test_profiler_has_no_observe_phase(self):
+        assert "observe" not in PHASES
+        assert not hasattr(StepProfiler(), "observer")

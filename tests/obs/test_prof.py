@@ -29,7 +29,6 @@ from repro.obs.prof import (
     reset_cache_stats,
     validate_profile,
 )
-from repro.obs.trace import Observer
 from repro.problems.bounded import MaskedRoundRobinPolicy
 from repro.runner import ExperimentSpec, run_spec
 
@@ -83,10 +82,10 @@ class TestStepProfiler:
 
     def test_run_counters_accumulate_across_runs(self):
         prof = StepProfiler(clock=scripted_clock())
-        prof.on_run_start()
-        prof.on_run_end(steps=10, injections=2)
-        prof.on_run_start()
-        prof.on_run_end(steps=5, injections=0)
+        prof.open_run()
+        prof.close_run(steps=10, injections=2)
+        prof.open_run()
+        prof.close_run(steps=5, injections=0)
         assert prof.runs == 2
         assert prof.steps == 15
         assert prof.injections == 2
@@ -113,8 +112,8 @@ class TestStepProfiler:
     def test_reset_forgets_everything(self):
         prof = StepProfiler(clock=scripted_clock())
         prof.add("apply", 1.0)
-        prof.on_run_start()
-        prof.on_run_end(3, 0)
+        prof.open_run()
+        prof.close_run(3, 0)
         prof.reset()
         assert prof.phase_calls == {}
         assert prof.runs == prof.steps == prof.states_touched == 0
@@ -265,16 +264,17 @@ class TestSchedulerIntegration:
     @pytest.mark.parametrize(
         "compiled, expected",
         [
-            # Per step: stop-when, two observer hooks, the policy (its
-            # snapshot read booked apart) and the apply.  Each clock
-            # reading is one tick, and each gap between wrapped calls
-            # is one tick of unattributed.
-            (False, {"observe": 18.0, "stop-when": 8.0, "snapshot": 8.0,
-                     "policy": 16.0, "apply": 8.0, "unattributed": 43.0}),
+            # Per step: stop-when, the policy (its snapshot read booked
+            # apart) and the apply.  Each clock reading is one tick, and
+            # each gap between wrapped calls is one tick of
+            # unattributed: three per step and the one before the run
+            # closes.
+            (False, {"stop-when": 8.0, "snapshot": 8.0, "policy": 16.0,
+                     "apply": 8.0, "unattributed": 25.0}),
             # The policy twin reads the snapshot tables itself, so it
             # books no snapshot; the table misses are part of the apply.
-            (True, {"compile": 1.0, "observe": 18.0, "stop-when": 8.0,
-                    "policy": 8.0, "apply": 8.0, "unattributed": 43.0}),
+            (True, {"compile": 1.0, "stop-when": 8.0, "policy": 8.0,
+                    "apply": 8.0, "unattributed": 25.0}),
         ],
     )
     def test_phases_sum_to_the_loop_wall(self, compiled, expected):
@@ -282,7 +282,7 @@ class TestSchedulerIntegration:
         prof = StepProfiler(clock=scripted_clock(1.0, readings))
         Scheduler(
             RoundRobinPolicy(),
-            instrument=(prof, Observer()),
+            instrument=prof,
             compiled=compiled,
         ).run(two_task_machine(), 8, stop_when=lambda state: False)
         assert prof.phase_wall_s == expected
@@ -300,7 +300,7 @@ class TestSchedulerIntegration:
             before = prof.phase_wall_s.get("unattributed", 0.0)
             Scheduler(
                 RoundRobinPolicy(),
-                instrument=(prof, Observer()),
+                instrument=prof,
                 compiled=compiled,
             ).run(
                 two_task_machine(),

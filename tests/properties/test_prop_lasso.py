@@ -6,15 +6,17 @@ random automata over a handful of states, whose actions keep the very
 same state object, return an equal but new one, or move to another
 state, and with inputs queued at random steps, every run must equal a
 reference loop that steps all the way: same actions and states, same
-final cursor, same canonical trace, on both engines.  A closed run's
-lasso must be the reference's first repeat from the step where the
-queue emptied, and a run whose pairs repeat early enough must close.
+final cursor, same injected steps and end reason, same canonical trace,
+on both engines.  A closed run's lasso must be the reference's first
+repeat from the step where the queue emptied, and a run whose pairs
+repeat early enough must close.
 """
 
 from hypothesis import given, settings, strategies as st
 
 from repro.ioa.actions import Action
 from repro.ioa.automaton import FunctionalAutomaton
+from repro.ioa.executions import Execution
 from repro.ioa.scheduler import Injection, RoundRobinPolicy, Scheduler
 from repro.ioa.signature import FiniteActionSet, Signature
 from repro.obs.trace import TraceRecorder
@@ -71,11 +73,12 @@ def machines(draw):
     )
 
 
-def reference_run(automaton, max_steps, injections, stop_when, observer):
+def reference_run(automaton, max_steps, injections, stop_when):
     """The scheduler's step semantics under round-robin, stepping every
     step.  Returns the states, the actions, the cursor before each step,
     the step where the injection queue emptied (``None`` if it never
-    did) and the final cursor."""
+    did), the final cursor, the steps an injection supplied and why the
+    run ended."""
     policy = RoundRobinPolicy()
     pending = {}
     for injection in injections:
@@ -83,13 +86,12 @@ def reference_run(automaton, max_steps, injections, stop_when, observer):
     state = automaton.initial_state()
     states, actions, cursors = [state], [], [policy._cursor]
     quiet = None if pending else 0
+    injected = []
     reason = "max-steps"
-    observer.on_run_start(automaton, max_steps)
     for step in range(max_steps):
         if stop_when(state):
             reason = "stopped"
             break
-        observer.on_step_scheduled(step)
         due = min((s for s in pending if s <= step), default=None)
         if due is None:
             action = policy.choose(automaton, state, step)
@@ -102,15 +104,16 @@ def reference_run(automaton, max_steps, injections, stop_when, observer):
             action = pending[due].pop(0)
             if not pending[due]:
                 del pending[due]
+            injected.append(step)
         state = automaton.apply(state, action)
         states.append(state)
         actions.append(action)
         cursors.append(policy._cursor)
-        observer.on_action(step, action, due is not None)
         if quiet is None and not pending:
             quiet = step + 1
-    observer.on_run_end(len(actions), reason)
-    return states, actions, cursors, quiet, policy._cursor
+    return (
+        states, actions, cursors, quiet, policy._cursor, tuple(injected), reason
+    )
 
 
 def first_repeat(states, cursors, quiet):
@@ -134,33 +137,35 @@ def first_repeat(states, cursors, quiet):
     max_steps=st.integers(min_value=1, max_value=80),
     stop_value=st.sampled_from([None, 1, 2, 3]),
     compiled=st.booleans(),
-    traced=st.booleans(),
 )
 def test_closed_runs_equal_the_stepped_run(
-    automaton, injected, max_steps, stop_value, compiled, traced
+    automaton, injected, max_steps, stop_value, compiled
 ):
     injections = [Injection(step, IN) for step in injected]
 
     def stop_when(state):
         return state[0] == stop_value
 
-    recorder = TraceRecorder(record_steps=True) if traced else None
     policy = RoundRobinPolicy()
-    execution = Scheduler(policy, instrument=recorder, compiled=compiled).run(
+    execution = Scheduler(policy, compiled=compiled).run(
         automaton, max_steps, injections=injections, stop_when=stop_when
     )
-    reference = TraceRecorder(record_steps=True)
-    states, actions, cursors, quiet, cursor = reference_run(
-        automaton, max_steps, injections, stop_when, reference
+    states, actions, cursors, quiet, cursor, steps_injected, reason = (
+        reference_run(automaton, max_steps, injections, stop_when)
     )
     assert list(execution.actions) == actions
     assert list(execution.states) == states
     assert policy._cursor == cursor
-    if traced:
-        assert (
-            recorder.canonical_jsonl_lines()
-            == reference.canonical_jsonl_lines()
-        )
+    assert execution.injected == steps_injected
+    assert execution.reason == reason
+    recorder, reference = TraceRecorder(), TraceRecorder()
+    recorder.record_run("m", max_steps, execution)
+    reference.record_run(
+        "m",
+        max_steps,
+        Execution(states, actions, injected=steps_injected, reason=reason),
+    )
+    assert recorder.canonical_jsonl_lines() == reference.canonical_jsonl_lines()
     repeat = first_repeat(states, cursors, quiet)
     if execution.lasso is not None:
         assert execution.lasso == repeat

@@ -60,7 +60,6 @@ class TestRoles:
         assert roles(ExperimentSpec) == {
             "instrument": INSTRUMENTATION,
             "profile": INSTRUMENTATION,
-            "record_steps": INSTRUMENTATION,
             "compiled": ENGINE,
             "seed": RUN,
             "policy": RUN,
